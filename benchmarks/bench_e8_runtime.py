@@ -3,16 +3,14 @@
 The prover is a centralized algorithm (quasi-linear here); the verifier
 is a single local round, driven by the pluggable
 :class:`repro.api.VerificationEngine`.  The table reports wall-clock
-times per n for every registered executor kind — the serial reference,
-the pool-resident range-chunked process pool, the PR 8 vectorized
-(batched numpy kernels) executor, and the shared-memory process-pool
-executor — plus the **stored path**: persist the wire-encoded
+times per n for both executor kinds — the serial reference and the
+vectorized (batched numpy kernels) executor — plus the **stored path**: persist the wire-encoded
 certificates to a :class:`repro.api.CertificateStore`, then load +
 re-verify from disk in a cold session (certify-once / re-verify-many,
 no prover stages anywhere).
 
-The kernel executors compile the round once and then evaluate it in
-microseconds, so each of their rows carries **two** numbers:
+The vectorized executor compiles the round once and then evaluates it
+in microseconds, so its row carries **two** numbers:
 
 * ``cold_s`` — first verification of a never-seen round (compile +
   kernels; what a one-shot CLI run pays);
@@ -30,12 +28,12 @@ from accidental refreshes the benchmark **refuses** to overwrite that
 exact file unless ``E8_OUT`` explicitly names it — the default output
 goes to the working directory instead.
 
+Gate: at the largest n, the vectorized steady round must beat the
+serial round.
+
 Environment knobs: ``E8_SIZES`` (comma-separated n values; CI's smoke
-step uses a tiny workload), ``E8_OUT`` (output path, may point at the
-committed baseline to refresh it deliberately), and
-``E8_REQUIRE_PARALLEL_WIN`` (when set: assert the shared-memory
-executor's steady-state beats serial at the largest n — the CI gate for
-the PR 4 "parallel loses to serial" regression being fixed).
+step uses a tiny workload) and ``E8_OUT`` (output path, may point at the
+committed baseline to refresh it deliberately).
 """
 
 import json
@@ -94,27 +92,20 @@ def test_e8_runtime(benchmark):
             "n",
             "prove_s",
             "serial_s",
-            "parallel_s",
             "vec_cold_s",
             "compile_s",
             "vec_steady_s",
-            "shm_cold_s",
-            "shm_steady_s",
             "reverify_s",
         ],
     )
     payload = {"bench": "e8_runtime", "property": "connected", "series": []}
     serial = VerificationEngine(make_executor("serial"))
-    parallel = VerificationEngine(make_executor("parallel", max_workers=2))
     with tempfile.TemporaryDirectory() as root:
         store = CertificateStore(root)
         for n in SIZES:
-            # Kernel executors are per-n so every cold row really is
-            # cold (their round caches are keyed by round identity).
+            # The kernel executor is per-n so every cold row really is
+            # cold (its round cache is keyed by round identity).
             vectorized = VerificationEngine(make_executor("vectorized"))
-            shm = VerificationEngine(
-                make_executor("shared-memory", max_workers=2)
-            )
             t0 = time.perf_counter()
             report = _prove(n, seed=n, store=store)
             t1 = time.perf_counter()
@@ -126,17 +117,10 @@ def test_e8_runtime(benchmark):
             serial_report, serial_s = _timed_verify(
                 serial, config, scheme, labeling
             )
-            parallel_report, parallel_s = _timed_verify(
-                parallel, config, scheme, labeling
-            )
             vec_report, vec_cold_s = _timed_verify(
                 vectorized, config, scheme, labeling
             )
             vec_steady_s = _steady(vectorized, config, scheme, labeling)
-            shm_report, shm_cold_s = _timed_verify(
-                shm, config, scheme, labeling
-            )
-            shm_steady_s = _steady(shm, config, scheme, labeling)
             # PR 9: fresh-process pack reuse.  A disk-backed artifact
             # cache persists the packed RoundArrays columns, so a
             # brand-new executor's cold round (a restarted process)
@@ -187,21 +171,13 @@ def test_e8_runtime(benchmark):
             assert serial_report.accepted
             # Scheduling must not change semantics (the smoke step's
             # every-executor == serial verdict assertion).
-            for other in (
-                parallel_report,
-                vec_report,
-                shm_report,
-                persist_report,
-                restart_report,
-            ):
+            for other in (vec_report, persist_report, restart_report):
                 assert other.verdicts == serial_report.verdicts
                 assert other.accepted == serial_report.accepted
             assert serial_report.views_built == n
-            assert parallel_report.views_built == n
             # The stored round sees the exact same certificates.
             assert stored.accepted
             assert stored.labeling.mapping == labeling.mapping
-            shm.executor.close()
             vec_compile_s = float(
                 (vec_report.kernel_stats or {}).get("compile_seconds", 0.0)
             )
@@ -210,28 +186,17 @@ def test_e8_runtime(benchmark):
                 "prove_s": round(t1 - t0, 6),
                 "vec_compile_s": round(vec_compile_s, 6),
                 "serial_s": round(serial_s, 6),
-                "parallel_s": round(parallel_s, 6),
                 "reverify_s": round(reverify_s, 6),
                 "serial_views_per_s": round(
                     serial_report.views_built / serial_s, 1
                 ),
-                "parallel_views_per_s": round(
-                    parallel_report.views_built / parallel_s, 1
-                ),
                 "executors": [
                     {"kind": "serial", "verify_s": round(serial_s, 6)},
-                    {"kind": "parallel", "verify_s": round(parallel_s, 6)},
                     {
                         "kind": "vectorized",
                         "cold_s": round(vec_cold_s, 6),
                         "steady_s": round(vec_steady_s, 6),
                         "kernel_stats": vec_report.kernel_stats,
-                    },
-                    {
-                        "kind": "shared-memory",
-                        "cold_s": round(shm_cold_s, 6),
-                        "steady_s": round(shm_steady_s, 6),
-                        "kernel_stats": shm_report.kernel_stats,
                     },
                     {
                         "kind": "vectorized+artifacts",
@@ -246,28 +211,23 @@ def test_e8_runtime(benchmark):
                 n,
                 f"{point['prove_s']:.3f}",
                 f"{serial_s:.3f}",
-                f"{parallel_s:.3f}",
                 f"{vec_cold_s:.3f}",
                 f"{vec_compile_s:.4f}",
                 f"{vec_steady_s:.4f}",
-                f"{shm_cold_s:.3f}",
-                f"{shm_steady_s:.4f}",
                 f"{reverify_s:.3f}",
             )
         table.show()
-    parallel.executor.close()
 
-    if os.environ.get("E8_REQUIRE_PARALLEL_WIN"):
-        # CI gate: at the largest n, resident shared-memory verification
-        # must beat the serial round (the PR 4 open item).
-        top = payload["series"][-1]
-        shm_row = next(
-            row for row in top["executors"] if row["kind"] == "shared-memory"
-        )
-        assert shm_row["steady_s"] < top["serial_s"], (
-            f"shared-memory steady {shm_row['steady_s']}s is not faster "
-            f"than serial {top['serial_s']}s at n={top['n']}"
-        )
+    # Gate: at the largest n, the resident vectorized round must beat
+    # the serial round.
+    top = payload["series"][-1]
+    vec_row = next(
+        row for row in top["executors"] if row["kind"] == "vectorized"
+    )
+    assert vec_row["steady_s"] < top["serial_s"], (
+        f"vectorized steady {vec_row['steady_s']}s is not faster "
+        f"than serial {top['serial_s']}s at n={top['n']}"
+    )
 
     if (
         "E8_OUT" not in os.environ

@@ -48,7 +48,6 @@ def certify(
     engine: Optional[VerificationEngine] = None,
     store=None,
     artifacts=None,
-    prover=None,
 ):
     """Certify MSO₂ ``properties`` on ``target`` and report the results.
 
@@ -88,7 +87,7 @@ def certify(
         later with ``session.verify(report)``.
     engine:
         The :class:`~repro.api.runtime.VerificationEngine` running the
-        round — pick the executor (serial/parallel) and ``fail_fast``
+        round — pick the executor (serial/vectorized) and ``fail_fast``
         policy here.  Defaults to a serial engine.
     store:
         Optional :class:`~repro.api.store.CertificateStore`.  Every
@@ -103,10 +102,6 @@ def certify(
         Optional :class:`~repro.api.artifacts.ArtifactCache` override
         for the prover-artifact cache (``None``: derived from ``store``,
         else in-memory).
-    prover:
-        Optional :class:`~repro.api.prover.ParallelProver`; batches
-        dispatch their independent per-property evaluate/label work
-        through its pool-resident workers.
 
     Returns a single :class:`CertificationReport` when ``properties`` is
     a single key, else ``{key: report}``.  Prover refusals are reported,
@@ -125,7 +120,6 @@ def certify(
             engine=engine,
             store=store,
             artifacts=artifacts,
-            prover=prover,
         )
     else:
         # Explicit arguments must not be silently dropped: adopt them on
@@ -139,7 +133,6 @@ def certify(
             ("exact_budget_ms", exact_budget_ms),
             ("engine", engine),
             ("store", store),
-            ("prover", prover),
         ):
             if value is None:
                 continue

@@ -44,6 +44,7 @@ from repro.core.lanewidth import (
     construction_sequence_from_completion,
 )
 from repro.core.scheme import CertifyingScheme
+from repro.courcelle.algebra import AlgebraCapacityError
 from repro.courcelle.registry import resolve_algebra
 from repro.pathwidth.branch_and_bound import (
     branch_and_bound_decomposition,
@@ -444,7 +445,8 @@ class HierarchyStage(Stage):
 
 class EvaluateStage(Stage):
     """Proposition 6.1: run the property's algebra bottom-up and check
-    acceptance at the root (the honest prover refuses false properties)."""
+    acceptance at the root (the honest prover refuses false properties,
+    and properties whose algebra cannot hold the boundary width)."""
 
     name = "evaluate"
     inputs = ("root", "algebra")
@@ -458,7 +460,10 @@ class EvaluateStage(Stage):
         if algebra is None:
             raise ValueError("EvaluateStage needs an algebra (stage or context)")
         ctx.algebra = resolve_algebra(algebra)
-        ctx.evaluation = evaluate_hierarchy(ctx.root, ctx.algebra)
+        try:
+            ctx.evaluation = evaluate_hierarchy(ctx.root, ctx.algebra)
+        except AlgebraCapacityError as exc:
+            raise ProverFailure(str(exc)) from exc
         if not ctx.evaluation.accepts(ctx.root):
             raise ProverFailure("property does not hold on the real subgraph")
 

@@ -1,4 +1,4 @@
-"""The verification runtime: pluggable executors and structured reports.
+"""The verification runtime: executors and structured reports.
 
 PR 1 rebuilt the *prover* side around the staged pipeline; this module
 does the same for the *verification round* — the half of a proof labeling
@@ -9,15 +9,15 @@ local view).  The design mirrors the distributed reality:
   whether to short-circuit) and produces a structured
   :class:`VerificationReport`;
 * executors own the *scheduling* of the per-vertex checks.
-  :class:`SerialExecutor` runs them in-process;
-  :class:`ParallelExecutor` fans chunks of vertices out to a
-  ``concurrent.futures.ProcessPoolExecutor``.  Both produce identical
+  :class:`SerialExecutor` runs them one view at a time in-process and is
+  the reference oracle; :class:`~repro.api.vectorized.VectorizedExecutor`
+  evaluates the whole round as numpy kernels.  Both produce identical
   verdicts for the same configuration — the checks are independent by
   the locality guarantee, so scheduling cannot change semantics;
-* ``fail_fast`` short-circuits on the first rejection (at chunk
-  granularity under the pool), which is the right mode for soundness
-  audits where only the accept/reject bit matters.  The report's
-  ``views_built`` counter makes the saving observable.
+* ``fail_fast`` short-circuits on the first rejection, which is the
+  right mode for soundness audits where only the accept/reject bit
+  matters.  The report's ``views_built`` counter makes the saving
+  observable.
 
 Both executors build views through one per-round
 :class:`~repro.pls.model.ViewFactory` — identifiers, input labels, and
@@ -29,23 +29,11 @@ labels still *rejects* — soundness must hold against arbitrary labelings
 — but the report counts these ``exception_rejections`` separately from
 ordinary ``verdict_rejections`` so scheme bugs on honest labelings are
 not silently folded into soundness wins.
-
-Cross-process dispatch is *pool-resident*: the ``(config, verifier,
-labeling)`` payload is pickled exactly once per pool lifetime and handed
-to every worker through the ``ProcessPoolExecutor`` initializer, where
-it is rebuilt into a resident ``ViewFactory``; chunk submissions then
-carry only ``(start, stop)`` vertex ranges.  Prover state frequently is
-not picklable (witness decomposer closures, cached match stages), so the
-payload ships ``scheme.verifier_only()`` — the pickle-safe verifier half
-every :class:`~repro.pls.scheme.ProofLabelingScheme` exposes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pickle
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
@@ -291,55 +279,6 @@ def _ranges(total: int, chunk_size: int) -> list:
     ]
 
 
-def _ship_payload(config, scheme, mapping, location, order) -> bytes:
-    """Pickle the round payload once, for the pool initializer.
-
-    ``order`` is the engine-chosen verification order as dense CSR
-    indices; shipping it with the payload (instead of re-deriving it in
-    each worker) keeps chunk ranges meaningful for *any* vertex list the
-    caller passes and for any vertex type, whatever its ``repr`` does
-    across processes.
-
-    Prover-side state (witness decomposer closures, cached stages) is
-    routinely unpicklable, so the scheme is reduced to its verifier half
-    first; a scheme that still fails to pickle gets a targeted error
-    instead of a deep ``PicklingError`` from inside the pool.  The
-    returned bytes are the *only* serialization of the payload — there
-    is no separate validation pass, and the counter test in tier 1 pins
-    ``pickle.dumps`` to one call per pool lifetime.
-    """
-    verifier = scheme.verifier_only()
-    payload = (config, verifier, mapping, location, order)
-    try:
-        return pickle.dumps(payload)
-    except Exception as exc:  # pragma: no cover - exercised via message
-        raise TypeError(
-            "ParallelExecutor needs a picklable (config, verifier, "
-            "labeling) triple; override verifier_only() on "
-            f"{type(scheme).__name__} to return a pickle-safe verifier "
-            f"half ({exc})"
-        ) from exc
-
-
-# -- worker-process state (set once per pool by the initializer) --------
-
-_WORKER_ROUND = None  # (ViewFactory, verifier scheme, canonical order)
-
-
-def _init_worker(payload_bytes: bytes) -> None:
-    """Pool initializer: rebuild the resident round state in this worker."""
-    global _WORKER_ROUND
-    config, scheme, mapping, location, order = pickle.loads(payload_bytes)
-    factory = ViewFactory(config, mapping, location)
-    _WORKER_ROUND = (factory, scheme, order)
-
-
-def _verify_range(start: int, stop: int, index: int, fail_fast: bool) -> _ChunkOutcome:
-    """Worker-side chunk entry point: a plain vertex range, nothing else."""
-    factory, scheme, order = _WORKER_ROUND
-    return _run_range(factory, scheme, order, start, stop, index, fail_fast)
-
-
 # ----------------------------------------------------------------------
 # Executors.
 
@@ -394,224 +333,36 @@ class SerialExecutor(VerificationExecutor):
         return outcomes
 
 
-class ParallelExecutor(VerificationExecutor):
-    """Range-chunked fan-out to a pool-resident ``ProcessPoolExecutor``.
-
-    Verdict-identical to :class:`SerialExecutor`; only the schedule
-    differs.  Under ``fail_fast`` the short-circuit is chunk-granular:
-    after the first completed rejecting chunk no further chunk is
-    *dispatched* (submission is windowed, so at most
-    ``dispatch_window`` chunks are ever in flight), already-submitted
-    chunks are cancelled where possible, and the rejecting chunk stops
-    mid-range itself.  The covered-vertex set may differ from the serial
-    one — ``accepted`` never does.
-
-    The payload ships **once per pool**: creating the pool pickles
-    ``(config, verifier, labeling, verification order)`` a single time
-    into the worker initializer, which rebuilds it into a resident
-    :class:`~repro.pls.model.ViewFactory`; per-chunk submissions carry
-    only ``(start, stop)`` ranges into the shipped order.  A pool is
-    therefore bound to one payload — repeated rounds over the *same*
-    (config, scheme, mapping) objects reuse it (the store's
-    re-verify-many workflow, property tests, benchmark repetition); a
-    round over a different payload retires the old pool and starts a
-    fresh one, which on fork-capable platforms costs less than the
-    per-chunk payload pickling it replaces.  ``payload_ships`` counts
-    pool payload shipments for observability.  Call :meth:`close` (or
-    use the executor as a context manager) to release the workers.
-
-    Reuse is decided by *object identity* plus the graph's CSR snapshot
-    and label version (so structural and input-label graph edits
-    between rounds force a re-ship) and the requested vertex order (so
-    subset rounds are honored).  Do not mutate a shipped ``mapping`` in
-    place between rounds — build a new labeling instead, as the
-    adversary helpers do; in-place value edits are invisible to
-    identity checks and the resident workers would keep verifying the
-    old payload.
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        dispatch_window: Optional[int] = None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if dispatch_window is not None and dispatch_window < 1:
-            raise ValueError("dispatch_window must be positive")
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        self.dispatch_window = dispatch_window
-        #: Payload shipments (= pool creations) over this executor's life.
-        self.payload_ships = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Strong refs to the shipped (config, scheme, mapping, location):
-        #: keeps identity comparisons valid for the pool's lifetime.
-        self._pool_payload: Optional[tuple] = None
-
-    def _pool_for(
-        self, config, scheme, mapping, location, order, workers: int
-    ) -> ProcessPoolExecutor:
-        if self._pool is not None:
-            held = self._pool_payload
-            if (
-                held is not None
-                and held[0] is config
-                and held[1] is scheme
-                and held[2] is mapping
-                and held[3] == location
-                # Structural graph mutation replaces the CSR snapshot,
-                # input-label mutation bumps the label version, and a
-                # different requested vertex list changes the order;
-                # each must retire the resident payload.
-                and held[4] is config.graph.csr
-                and held[5] == config.graph.labels_version
-                and held[6] == order
-            ):
-                return self._pool
-            self.close()  # different payload: retire the resident pool
-        blob = _ship_payload(config, scheme, mapping, location, order)
-        self.payload_ships += 1
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(blob,),
-        )
-        self._pool_payload = (
-            config,
-            scheme,
-            mapping,
-            location,
-            config.graph.csr,
-            config.graph.labels_version,
-            order,
-        )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        self._pool_payload = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _resolve_chunk_size(self, n: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        # ~4 chunks per worker balances load against dispatch overhead.
-        return max(1, -(-n // (4 * workers)))
-
-    def execute(self, config, scheme, mapping, location, vertices, fail_fast):
-        if not vertices:
-            return []
-        workers = self.max_workers or os.cpu_count() or 1
-        ranges = _ranges(
-            len(vertices), self._resolve_chunk_size(len(vertices), workers)
-        )
-        # The requested vertex list, as dense CSR indices: ships with
-        # the payload, so worker-side ranges mean exactly these
-        # vertices in exactly this order.
-        index = config.graph.csr.index
-        order = [index[v] for v in vertices]
-        pool = self._pool_for(config, scheme, mapping, location, order, workers)
-        window = self.dispatch_window or 2 * workers
-        outcomes: list = []
-        pending: dict = {}  # future -> chunk index
-        next_chunk = 0
-        halted = False
-
-        def fill_window():
-            nonlocal next_chunk
-            while (
-                not halted
-                and next_chunk < len(ranges)
-                and len(pending) < window
-            ):
-                start, stop = ranges[next_chunk]
-                future = pool.submit(
-                    _verify_range, start, stop, next_chunk, fail_fast
-                )
-                pending[future] = next_chunk
-                next_chunk += 1
-
-        fill_window()
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            rejected = False
-            for future in done:
-                pending.pop(future)
-                if future.cancelled():
-                    continue
-                outcome = future.result()
-                outcomes.append(outcome)
-                rejected = rejected or outcome.rejected
-            if fail_fast and rejected:
-                halted = True  # dispatch nothing further
-                for future in list(pending):
-                    if future.cancel():
-                        pending.pop(future)
-            fill_window()
-        outcomes.sort(key=lambda o: o.index)
-        return outcomes
-
-
 # ----------------------------------------------------------------------
-# Executor registry: name -> factory.  The vectorized executors live in
-# ``repro.api.vectorized`` (optional numpy); they are imported lazily on
-# first lookup so ``repro.api.runtime`` stays numpy-free.
+# Executors by name.  The vectorized executor lives in
+# ``repro.api.vectorized`` (optional numpy) and is imported on first
+# request, so ``repro.api.runtime`` stays numpy-free.
 
 
-_EXECUTOR_FACTORIES: dict = {
-    "serial": SerialExecutor,
-    "parallel": ParallelExecutor,
-}
-
-_LAZY_EXECUTORS = {"vectorized", "shared-memory"}
-
-
-def register_executor(name: str, factory) -> None:
-    """Register an executor factory under ``name`` (overwrites)."""
-    _EXECUTOR_FACTORIES[name] = factory
-
-
-def _canonical_executor_name(name: str) -> str:
-    return name.strip().lower().replace("_", "-")
+_EXECUTOR_NAMES = ("serial", "vectorized")
 
 
 def make_executor(name: str, **kwargs) -> VerificationExecutor:
-    """Build a registered executor by name.
+    """Build an executor by name: ``serial`` or ``vectorized``.
 
-    Accepts ``serial``, ``parallel``, ``vectorized``, and
-    ``shared-memory`` (alias ``shared_memory``); the vectorized pair is
-    imported on demand.  Raises ``ValueError`` for unknown names, and
-    ``RuntimeError`` if a vectorized executor is requested while numpy
-    is unavailable.
+    Names are matched case-insensitively after stripping whitespace.
+    Raises ``ValueError`` for any other name.
     """
-    key = _canonical_executor_name(name)
-    if key not in _EXECUTOR_FACTORIES and key in _LAZY_EXECUTORS:
-        import repro.api.vectorized  # noqa: F401  (registers on import)
-    factory = _EXECUTOR_FACTORIES.get(key)
-    if factory is None:
-        raise ValueError(
-            f"unknown executor {name!r}; known: {sorted(executor_names())}"
-        )
-    return factory(**kwargs)
+    key = name.strip().lower()
+    if key == "serial":
+        return SerialExecutor(**kwargs)
+    if key == "vectorized":
+        from repro.api.vectorized import VectorizedExecutor
+
+        return VectorizedExecutor(**kwargs)
+    raise ValueError(
+        f"unknown executor {name!r}; known: {list(_EXECUTOR_NAMES)}"
+    )
 
 
 def executor_names() -> list:
-    """All resolvable executor names (without importing lazy ones)."""
-    return sorted(set(_EXECUTOR_FACTORIES) | _LAZY_EXECUTORS)
+    """Every name :func:`make_executor` accepts."""
+    return list(_EXECUTOR_NAMES)
 
 
 # ----------------------------------------------------------------------
@@ -621,7 +372,7 @@ def executor_names() -> list:
 class VerificationEngine:
     """Runs verification rounds under one scheduling/short-circuit policy.
 
-        engine = VerificationEngine(ParallelExecutor(max_workers=4))
+        engine = VerificationEngine(make_executor("vectorized"))
         report = engine.verify(config, scheme, labeling)
         report.accepted, report.views_built, report.chunks
 

@@ -18,11 +18,6 @@ dict:
   per-property evaluations resolve too, leaving only work keyed to the
   new configuration's identifiers.
 
-Batches can additionally fan the independent per-property evaluate/label
-nodes out to a pool-resident :class:`~repro.api.prover.ParallelProver`
-(``CertificationSession(prover=...)``), the prover-side sibling of the
-verification round's ``ParallelExecutor``.
-
 Every successful labeling is wire-encoded (:mod:`repro.codec`), so the
 report's ``max/mean/total_label_bits`` are measured byte-string sizes;
 the encoded form rides along with the labeling artifact, and — when the
@@ -41,9 +36,8 @@ from repro.codec import encode_labeling_columnar, stamp_wire_digest
 from repro.core.lanewidth import ConstructionSequence, apply_construction
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.courcelle.registry import resolve_algebra
-from repro.pls.bits import SizeContext
 from repro.pls.model import Configuration
-from repro.pls.scheme import Labeling, ProverFailure
+from repro.pls.scheme import ProverFailure
 
 from repro.api.artifacts import ArtifactCache
 from repro.api.pipeline import (
@@ -62,7 +56,7 @@ from repro.api.plan import (
     lanewidth_plan,
     theorem1_plan,
 )
-from repro.api.results import CertificationReport, StageTiming
+from repro.api.results import CertificationReport
 from repro.api.runtime import VerificationEngine, VerificationReport
 
 
@@ -114,10 +108,6 @@ class CertificationSession:
     artifacts:
         Optional :class:`~repro.api.artifacts.ArtifactCache` override
         (``None``: derived from the store, else a fresh in-memory cache).
-    prover:
-        Optional :class:`~repro.api.prover.ParallelProver`; property
-        batches with more than one uncached property dispatch their
-        evaluate/label nodes through it.
     """
 
     def __init__(
@@ -129,7 +119,6 @@ class CertificationSession:
         engine: Optional[VerificationEngine] = None,
         store=None,
         artifacts: Optional[ArtifactCache] = None,
-        prover=None,
         exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
@@ -141,7 +130,6 @@ class CertificationSession:
         self.rng = rng or random.Random()
         self.engine = engine
         self.store = store
-        self.prover = prover
         # Lazy fallback kept apart from ``engine``: the facade adopts
         # explicit arguments onto unset session fields, and a cached
         # default must not masquerade as user configuration there.
@@ -258,7 +246,10 @@ class CertificationSession:
                 for key, _prop, _algebra in resolved
             }
         else:
-            reports = self._certify_batch(structure, config, resolved, verify)
+            reports = {
+                key: self._certify_one(structure, config, key, algebra, verify)
+                for key, _prop, algebra in resolved
+            }
         return next(iter(reports.values())) if single else reports
 
     def verify(
@@ -299,8 +290,8 @@ class CertificationSession:
     def _offer_artifacts(self, engine) -> None:
         """Lend the session's artifact cache to cache-aware executors.
 
-        Executors that persist packed round state (``vectorized``,
-        ``shared-memory``) expose ``adopt_artifacts``; everything else
+        Executors that persist packed round state (``vectorized``)
+        expose ``adopt_artifacts``; everything else
         is left alone.  Duck-typed so custom engines/executors need no
         base-class change.
         """
@@ -440,46 +431,8 @@ class CertificationSession:
         chained = structure.plan.chain_keys(artifact_keys, nodes)
         return {node.name: chained[node.outputs[0]] for node in nodes}
 
-    def _certify_batch(self, structure, config, resolved, verify) -> dict:
-        reports: dict = {}
-        pending = []  # (key, algebra, prop_keys) to dispatch in parallel
-        if self.prover is not None:
-            for key, _prop, algebra in resolved:
-                prop_keys = self._property_keys(structure, algebra)
-                if prop_keys["evaluate"].key in self.artifacts:
-                    # The expensive half is already resolved; the plan
-                    # runner serves the hit (and reruns only the cheap
-                    # id-keyed label node when that one missed).
-                    reports[key] = self._certify_one(
-                        structure, config, key, algebra, verify, prop_keys
-                    )
-                else:
-                    pending.append((key, algebra, prop_keys))
-            if len(pending) == 1:
-                key, algebra, prop_keys = pending[0]
-                reports[key] = self._certify_one(
-                    structure, config, key, algebra, verify, prop_keys
-                )
-            elif pending:
-                reports.update(
-                    self._certify_parallel(structure, config, pending, verify)
-                )
-            # Preserve input order for callers iterating the dict.
-            return {key: reports[key] for key, _p, _a in resolved}
-        for key, _prop, algebra in resolved:
-            reports[key] = self._certify_one(
-                structure, config, key, algebra, verify
-            )
-        return reports
-
-    def _structure_timings(self, structure) -> tuple:
-        return structure.timings
-
-    def _certify_one(
-        self, structure, config, key, algebra, verify=True, prop_keys=None
-    ):
-        if prop_keys is None:
-            prop_keys = self._property_keys(structure, algebra)
+    def _certify_one(self, structure, config, key, algebra, verify=True):
+        prop_keys = self._property_keys(structure, algebra)
         ctx = structure.ctx.structural_copy(config=config, algebra=algebra)
         runner = PlanRunner(self.artifacts, self.stage_counters)
         try:
@@ -495,7 +448,7 @@ class CertificationSession:
             report.max_width = ctx.max_width
             report.lane_count = len(ctx.root.lanes)
             report.hierarchy_depth = ctx.hierarchy_depth
-            report.stage_timings = self._structure_timings(structure) + tuple(
+            report.stage_timings = structure.timings + tuple(
                 getattr(failure, "stage_timings", ())
             )
             report.structure_cached = structure.all_cached
@@ -525,86 +478,10 @@ class CertificationSession:
             ctx.labeling,
             ctx.class_count,
             encoded,
-            self._structure_timings(structure) + tuple(run.timings),
+            structure.timings + tuple(run.timings),
             verify,
-            ctx=ctx,
             encode_seconds=encode_seconds,
         )
-
-    def _certify_parallel(self, structure, config, pending, verify) -> dict:
-        """Dispatch uncached properties through the pool-resident prover."""
-        ctx = structure.ctx
-        outcomes = self.prover.prove_batch(
-            config,
-            ctx.root,
-            ctx.embedding,
-            [algebra for _key, algebra, _pk in pending],
-        )
-        reports = {}
-        for (key, algebra, prop_keys), outcome in zip(pending, outcomes):
-            evaluate_timing = StageTiming("evaluate", outcome.evaluate_seconds)
-            self.stage_counters["evaluate"] = (
-                self.stage_counters.get("evaluate", 0) + 1
-            )
-            if outcome.refused:
-                failure = ProverFailure(outcome.refusal)
-                report = self._refused_report(
-                    key, config, failure, (evaluate_timing,)
-                )
-                report.max_width = ctx.max_width
-                report.lane_count = len(ctx.root.lanes)
-                report.hierarchy_depth = ctx.hierarchy_depth
-                report.stage_timings = (
-                    self._structure_timings(structure) + (evaluate_timing,)
-                )
-                report.structure_cached = structure.all_cached
-                report.stage_counters = dict(self.stage_counters)
-                reports[key] = report
-                continue
-            label_timing = StageTiming("label", outcome.label_seconds)
-            self.stage_counters["label"] = (
-                self.stage_counters.get("label", 0) + 1
-            )
-            # Feed the cache exactly as the plan runner would have.
-            evaluate_key = prop_keys["evaluate"]
-            self.artifacts.put(
-                evaluate_key.key,
-                "evaluate",
-                {"evaluation": outcome.evaluation},
-                outcome.evaluate_seconds,
-                persist=evaluate_key.persistable,
-            )
-            labeling = Labeling(
-                "edges",
-                outcome.mapping,
-                SizeContext(config.n, class_count=outcome.class_count),
-            )
-            label_key = prop_keys["label"]
-            self.artifacts.put(
-                label_key.key,
-                "label",
-                {"class_count": outcome.class_count, "labeling": labeling},
-                outcome.label_seconds,
-                persist=label_key.persistable,
-            )
-            began = perf_counter()
-            encoded = encode_labeling_columnar(labeling)
-            encode_seconds = perf_counter() - began
-            self.artifacts.annotate(label_key.key, "encoded", encoded)
-            reports[key] = self._finish_report(
-                structure,
-                config,
-                key,
-                algebra,
-                labeling,
-                outcome.class_count,
-                encoded,
-                self._structure_timings(structure)
-                + (evaluate_timing, label_timing),
-                verify,
-                encode_seconds=encode_seconds,
-            )
-        return reports
 
     def _finish_report(
         self,
@@ -617,7 +494,6 @@ class CertificationSession:
         encoded,
         stage_timings,
         verify,
-        ctx=None,
         encode_seconds: float = 0.0,
     ) -> CertificationReport:
         root = structure.ctx.root

@@ -1,4 +1,4 @@
-"""Batched numpy verification kernels and shared-memory parallel rounds.
+"""Batched numpy verification kernels.
 
 The reference verifier (:mod:`repro.core.verifier`) checks one
 :class:`~repro.pls.model.LocalView` at a time in pure python.  This
@@ -27,25 +27,12 @@ module evaluates a *whole round* as flat array kernels instead:
    per-vertex diagnostics and the round verdict is identical to the
    reference executors' by construction.  The hypothesis differential
    suite in ``tests/test_vectorized.py`` pins this equivalence.
-
-:class:`SharedMemoryExecutor` additionally publishes the CSR snapshot
-and identifier/order arrays into ``multiprocessing.shared_memory``
-segments; workers attach by name, map the arrays zero-copy, compile
-once per payload, and receive plain ``(start, stop)`` ranges.  The
-certificate objects themselves ship once per pool as a pickled blob in
-a second segment (python object graphs cannot be mmapped), and the
-reference fallback for flagged vertices runs in the parent, which
-holds the full round.  Segments are unlinked on :meth:`close` — the
-no-leak lifecycle tests attach by name to prove it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from time import perf_counter
 from typing import Optional
 
@@ -57,9 +44,7 @@ except Exception:  # pragma: no cover
 from repro.api.runtime import (
     VerificationExecutor,
     _ChunkOutcome,
-    _ranges,
     _run_range,
-    register_executor,
 )
 from repro.core.certificates import (
     BasicInfo,
@@ -1672,8 +1657,8 @@ def _compiled_round_cache_key(config, scheme, digest):
     return f"compiled-round:{token}"
 
 
-def _cached_compiled_state(cache, key):
-    """Raw persisted envelope for ``key`` (``None`` on any miss)."""
+def _attach_compiled_round(cache, key, arrays, algebra, max_width):
+    """Restore a persisted compiled round; ``None`` on any mismatch."""
     if cache is None or key is None:
         return None
     entry = cache.get(key)
@@ -1681,14 +1666,6 @@ def _cached_compiled_state(cache, key):
         return None
     state = entry.outputs.get("state")
     if not isinstance(state, dict):
-        return None
-    return state
-
-
-def _attach_compiled_round(cache, key, arrays, algebra, max_width):
-    """Restore a persisted compiled round; ``None`` on any mismatch."""
-    state = _cached_compiled_state(cache, key)
-    if state is None:
         return None
     try:
         return KernelRound.from_state(arrays, state, algebra, max_width)
@@ -1713,29 +1690,6 @@ def _store_compiled_round(cache, key, round_) -> None:
         return
 
 
-class _LabelingOffer:
-    """Digest handoff mixin: the engine offers the labeling it is about
-    to verify, and executors key persisted compiled rounds on its wire
-    digest (stamped by the encode path).  Identity of the mapping ties
-    the offer to the exact ``execute`` call that follows."""
-
-    _offered = None
-
-    def offer_labeling(self, labeling) -> None:
-        digest = getattr(labeling, "wire_digest", None)
-        mapping = getattr(labeling, "mapping", None)
-        if digest is not None and mapping is not None:
-            self._offered = (id(mapping), digest)
-        else:
-            self._offered = None
-
-    def _digest_for(self, mapping):
-        offered = self._offered
-        if offered is not None and offered[0] == id(mapping):
-            return offered[1]
-        return None
-
-
 def _reference_outcome(factory, scheme, order, fail_fast, stats):
     outcome = _run_range(
         factory, scheme, order, 0, len(order), 0, fail_fast
@@ -1754,7 +1708,7 @@ def _reference_outcome(factory, scheme, order, fail_fast, stats):
     ]
 
 
-class VectorizedExecutor(_LabelingOffer, VerificationExecutor):
+class VectorizedExecutor(VerificationExecutor):
     """Whole-round numpy kernels with reference fallback.
 
     Verdict-identical to :class:`~repro.api.runtime.SerialExecutor` on
@@ -1782,6 +1736,25 @@ class VectorizedExecutor(_LabelingOffer, VerificationExecutor):
         self._held_arrays_cached = False
         self._held_compiled_cached = False
         self._pending_store = None
+        self._offered = None
+
+    def offer_labeling(self, labeling) -> None:
+        """Digest handoff: the engine offers the labeling it is about to
+        verify, and persisted compiled rounds are keyed on its wire
+        digest (stamped by the encode path).  Identity of the mapping
+        ties the offer to the exact ``execute`` call that follows."""
+        digest = getattr(labeling, "wire_digest", None)
+        mapping = getattr(labeling, "mapping", None)
+        if digest is not None and mapping is not None:
+            self._offered = (id(mapping), digest)
+        else:
+            self._offered = None
+
+    def _digest_for(self, mapping):
+        offered = self._offered
+        if offered is not None and offered[0] == id(mapping):
+            return offered[1]
+        return None
 
     def adopt_artifacts(self, cache) -> None:
         """Accept a session's artifact cache unless one was configured.
@@ -1905,370 +1878,3 @@ class VectorizedExecutor(_LabelingOffer, VerificationExecutor):
                 kernel_stats=base_stats,
             )
         ]
-
-
-register_executor("vectorized", VectorizedExecutor)
-
-
-# ----------------------------------------------------------------------
-# Shared-memory parallel rounds
-# ----------------------------------------------------------------------
-
-
-def _shm_attach(name: str):
-    """Attach to a named segment without registering it for cleanup.
-
-    The parent owns the segments' lifecycle (it unlinks on close);
-    workers must not let the resource tracker unlink behind its back.
-    ``track=`` exists from Python 3.13; older interpreters need the
-    unregister dance.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        # Pre-3.13: attaching registers the segment with the resource
-        # tracker, which would unlink it when *any* worker exits and
-        # double-unregister across workers.  Suppress registration for
-        # the duration of the attach instead.
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _skip(name_, rtype):
-            if rtype != "shared_memory":  # pragma: no cover
-                original(name_, rtype)
-
-        resource_tracker.register = _skip
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
-#: Worker-resident round: (KernelRound|None, order view, shm handles).
-_SHM_ROUND = None
-
-
-def _shm_init_worker(arrays_name: str, blob_name: str) -> None:
-    """Pool initializer: map the arrays segment, load the object blob."""
-    global _SHM_ROUND
-    arr_shm = _shm_attach(arrays_name)
-    blob_shm = _shm_attach(blob_name)
-    buf = np.frombuffer(arr_shm.buf, dtype=np.int64)
-    arrays, order = unpack_round_arrays(buf)
-    size = int.from_bytes(bytes(blob_shm.buf[:8]), "little")
-    scheme, edge_labels, state = pickle.loads(
-        bytes(blob_shm.buf[8:8 + size])
-    )
-    profile = _theorem1_profile(scheme)
-    round_ = None
-    if profile is not None:
-        if state is not None:
-            # Pre-compiled round shipped by the parent: attach instead
-            # of compiling.  Any mismatch degrades to the fallbacks
-            # below, never an error.
-            try:
-                round_ = KernelRound.from_state(
-                    arrays, state, profile[0], profile[1]
-                )
-            except Exception:
-                round_ = None
-        if round_ is None and edge_labels is not None:
-            round_ = KernelRound(arrays, edge_labels, profile[0], profile[1])
-    # Keep the shm handles alive: the numpy columns are views into them.
-    _SHM_ROUND = (round_, order, arr_shm, blob_shm)
-
-
-def _shm_verify_range(start: int, stop: int):
-    """Worker-side entry point: kernel-verify one shipped-order range."""
-    if os.environ.get("REPRO_SHM_CRASH"):
-        os._exit(17)  # injected crash for the lifecycle tests
-    round_, order, _arr, _blob = _SHM_ROUND
-    req = order[start:stop]
-    if round_ is None:
-        return start, stop, None, {"mode": "reference"}
-    try:
-        accept, stats = round_.run(req)
-    except Unvectorizable as exc:
-        return start, stop, None, {"mode": "reference", "reason": exc.reason}
-    return start, stop, accept.tobytes(), stats
-
-
-class SharedMemoryExecutor(_LabelingOffer, VerificationExecutor):
-    """Kernel rounds fanned out over ``multiprocessing.shared_memory``.
-
-    The parent packs the round's CSR + identifier + order arrays into
-    one named segment and the pickled (verifier, edge-certificate
-    column) blob into a second; workers attach by name, rebuild
-    zero-copy array views, compile the kernel round once per pool, and
-    then receive plain ``(start, stop)`` ranges.  Kernel-flagged
-    vertices fall back to the reference ``LocalView`` check *in the
-    parent* (which holds the full python round), so verdicts are
-    reference-identical exactly as for :class:`VectorizedExecutor`.
-
-    Lifecycle: segments are unlinked by :meth:`close` (also a context
-    manager), including after a worker crash — ``BrokenProcessPool``
-    tears the pool down, unlinks, and re-runs the round serially in the
-    parent.  :meth:`segment_names` exposes the live segment names so
-    tests can assert the no-leak property by attach-by-name failure.
-    """
-
-    name = "shared-memory"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        artifacts=None,
-    ):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be positive")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
-        #: Optional :class:`~repro.api.artifacts.ArtifactCache` holding
-        #: packed :class:`RoundArrays` across rounds *and processes*.
-        self.artifacts = artifacts
-        #: Segment publications (= pool creations) over this executor.
-        self.payload_ships = 0
-        self._pool = None
-        self._segments = []
-        self._held_key = None
-        self._held_order = None
-
-    def adopt_artifacts(self, cache) -> None:
-        """Accept a session's artifact cache unless one was configured."""
-        if self.artifacts is None:
-            self.artifacts = cache
-
-    def segment_names(self) -> list:
-        """Names of the currently-published shm segments (tests)."""
-        return [shm.name for shm in self._segments]
-
-    def close(self) -> None:
-        """Shut the pool down and unlink every published segment."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        for shm in self._segments:
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-            except Exception:
-                pass
-        self._segments = []
-        self._held_key = None
-        self._held_order = None
-
-    def __enter__(self) -> "SharedMemoryExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _pool_for(
-        self, key, order, arrays, scheme, edge_labels, workers, state=None
-    ):
-        if (
-            self._pool is not None
-            and _same_key(self._held_key, key)
-            and self._held_order == order
-        ):
-            return self._pool
-        self.close()
-        from multiprocessing import shared_memory
-
-        packed = pack_round_arrays(arrays, order)
-        arr_shm = shared_memory.SharedMemory(
-            create=True, size=int(packed.nbytes)
-        )
-        self._segments.append(arr_shm)
-        np.frombuffer(arr_shm.buf, dtype=np.int64)[: packed.shape[0]] = packed
-        # With a pre-compiled state the certificate column stays home:
-        # workers attach to the shipped tables, and the reference
-        # fallback for flagged vertices runs in the parent anyway.
-        blob = pickle.dumps(
-            (
-                scheme.verifier_only(),
-                None if state is not None else edge_labels,
-                state,
-            )
-        )
-        blob_shm = shared_memory.SharedMemory(
-            create=True, size=len(blob) + 8
-        )
-        self._segments.append(blob_shm)
-        blob_shm.buf[:8] = len(blob).to_bytes(8, "little")
-        blob_shm.buf[8:8 + len(blob)] = blob
-        self.payload_ships += 1
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_shm_init_worker,
-            initargs=(arr_shm.name, blob_shm.name),
-        )
-        self._held_key = key
-        self._held_order = list(order)
-        return self._pool
-
-    def execute(self, config, scheme, mapping, location, vertices, fail_fast):
-        if not vertices:
-            return []
-        began = perf_counter()
-        factory = ViewFactory(config, mapping, location)
-        order = [factory.index_of(v) for v in vertices]
-        base_stats = {"engine": self.name}
-        profile = _theorem1_profile(scheme)
-        if profile is None or np is None:
-            base_stats.update(
-                {
-                    "mode": "reference",
-                    "reason": "scheme is not the Theorem 1 edge-labeled "
-                    "profile" if np is not None else "numpy unavailable",
-                }
-            )
-            return _reference_outcome(
-                factory, scheme, order, fail_fast, base_stats
-            )
-        began_pack = perf_counter()
-        arrays, cache_key = _cached_round_arrays(self.artifacts, config)
-        base_stats["arrays_cached"] = arrays is not None
-        if arrays is None:
-            try:
-                arrays = factory.round_arrays()
-            except (NotVectorizable, RuntimeError) as exc:
-                base_stats.update({"mode": "reference", "reason": str(exc)})
-                return _reference_outcome(
-                    factory, scheme, order, fail_fast, base_stats
-                )
-            _store_round_arrays(
-                self.artifacts, cache_key, arrays, perf_counter() - began_pack
-            )
-        workers = self.max_workers or os.cpu_count() or 1
-        key = _round_key(config, scheme, mapping, location)
-        compiled_key = _compiled_round_cache_key(
-            config, scheme, self._digest_for(mapping)
-        )
-        state = _cached_compiled_state(self.artifacts, compiled_key)
-        if state is not None:
-            # Validate in the parent before shipping: a corrupt or
-            # stale envelope becomes a recompile, never a worker error.
-            try:
-                KernelRound.from_state(arrays, state, *profile)
-            except Exception:
-                state = None
-        compiled_cached = state is not None
-        parent_compile = 0.0
-        if (
-            state is None
-            and compiled_key is not None
-            and self.artifacts is not None
-        ):
-            # Compile once in the parent and ship the tables, so the
-            # workers (and every later process) attach instead of each
-            # compiling the same round.
-            began_compile = perf_counter()
-            fresh = KernelRound(
-                arrays, factory.edge_certificates, *profile
-            )
-            _store_compiled_round(self.artifacts, compiled_key, fresh)
-            state = _cached_compiled_state(self.artifacts, compiled_key)
-            parent_compile = perf_counter() - began_compile
-        try:
-            pool = self._pool_for(
-                key, order, arrays, scheme, factory.edge_certificates,
-                workers, state,
-            )
-        except Exception as exc:
-            self.close()
-            base_stats.update({"mode": "reference", "reason": str(exc)})
-            return _reference_outcome(
-                factory, scheme, order, fail_fast, base_stats
-            )
-        # One range per worker by default: each worker compiles (and
-        # finalizes) its kernel tables exactly once, and the per-run
-        # fixed numpy overhead is not multiplied across small ranges.
-        chunk = self.chunk_size or max(1, -(-len(order) // workers))
-        accept = np.zeros(len(order), dtype=bool)
-        reference_ranges = []
-        merged: dict = {}
-        try:
-            futures = [
-                pool.submit(_shm_verify_range, start, stop)
-                for start, stop in _ranges(len(order), chunk)
-            ]
-            for future in futures:
-                start, stop, accept_bytes, stats = future.result()
-                if accept_bytes is None:
-                    reference_ranges.append((start, stop))
-                else:
-                    accept[start:stop] = np.frombuffer(
-                        accept_bytes, dtype=bool
-                    )
-                for stat_key, value in stats.items():
-                    if isinstance(value, (int, float)) and isinstance(
-                        merged.get(stat_key), (int, float)
-                    ):
-                        merged[stat_key] += value
-                    else:
-                        merged.setdefault(stat_key, value)
-        except BrokenProcessPool:
-            # A worker died mid-round (crash injection or OOM): unlink
-            # the segments immediately — no leak survives the failure —
-            # and recover serially in the parent.
-            self.close()
-            base_stats.update(
-                {"mode": "reference", "reason": "worker pool crashed"}
-            )
-            return _reference_outcome(
-                factory, scheme, order, fail_fast, base_stats
-            )
-        base_stats.update(merged)
-        base_stats["mode"] = "kernel"
-        base_stats["ranges"] = len(futures)
-        # After the merge: worker booleans would sum as integers.
-        base_stats["compiled_round_cached"] = compiled_cached
-        if parent_compile:
-            base_stats["compile_seconds"] = (
-                base_stats.get("compile_seconds", 0.0) + parent_compile
-            )
-        names = factory.vertices
-        verdicts = {}
-        flagged = []
-        in_reference = np.zeros(len(order), dtype=bool)
-        for start, stop in reference_ranges:
-            in_reference[start:stop] = True
-        accept_list = accept.tolist()
-        ref_list = in_reference.tolist()
-        for position, dense in enumerate(order):
-            if accept_list[position] and not ref_list[position]:
-                verdicts[names[dense]] = True
-            else:
-                flagged.append(dense)
-        fallback = _run_range(
-            factory, scheme, flagged, 0, len(flagged), 0, fail_fast
-        )
-        verdicts.update(fallback.verdicts)
-        base_stats["fallback_vertices"] = len(flagged)
-        return [
-            _ChunkOutcome(
-                index=0,
-                size=len(order),
-                verdicts=verdicts,
-                exception_vertices=fallback.exception_vertices,
-                views_built=fallback.views_built,
-                seconds=perf_counter() - began,
-                rejected=fallback.rejected,
-                kernel_stats=base_stats,
-            )
-        ]
-
-
-register_executor("shared-memory", SharedMemoryExecutor)

@@ -197,8 +197,9 @@ class _Collector:
             for _lane, x in ids:
                 self.ids.add(x)
         # Canonical form, not raw repr: states that crossed a process
-        # boundary (pool-resident per-property proving) must dedupe into
-        # the same dictionary slot as their locally built equals.
+        # boundary (unpickled from the on-disk artifact cache) must
+        # dedupe into the same dictionary slot as their locally built
+        # equals.
         if self._memo is not None:
             key = self._memo.canonical(info.state)
         else:

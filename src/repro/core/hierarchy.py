@@ -177,18 +177,45 @@ def to_klane(node: HierarchyNode) -> KLaneGraph:
 
 
 def _tree_contract(node: HierarchyNode, members: list) -> KLaneGraph:
-    children: dict = {index: [] for index in range(len(members))}
+    return _fold_members(
+        node,
+        members.__getitem__,
+        lambda acc, kid: parent_merge(kid, acc),
+    )
+
+
+def _fold_members(node: HierarchyNode, open_member, merge, close=None):
+    """Fold a T-node's internal member tree bottom-up, without recursion.
+
+    ``open_member(index)`` starts the accumulator of one member, each
+    child subtree's result is folded in with ``merge(acc, kid_result)``
+    in sorted child order, and ``close(index, acc)`` (optional) sees the
+    finished subtree.  Member chains grow with n while Observation 5.5
+    bounds only the hierarchy depth, so the fold keeps an explicit stack
+    instead of one python frame per member.
+    """
+    kids: dict = {index: [] for index in range(len(node.children))}
     for index, parent in node.member_parent.items():
         if parent is not None:
-            children[parent].append(index)
+            kids[parent].append(index)
 
-    def contract(index: int) -> KLaneGraph:
-        result = members[index]
-        for kid in sorted(children[index]):
-            result = parent_merge(contract(kid), result)
-        return result
+    def frame(index: int) -> list:
+        return [index, open_member(index), iter(sorted(kids[index]))]
 
-    return contract(node.root_member)
+    stack = [frame(node.root_member)]
+    while True:
+        top = stack[-1]
+        kid = next(top[2], None)
+        if kid is not None:
+            stack.append(frame(kid))
+            continue
+        stack.pop()
+        index, acc = top[0], top[1]
+        if close is not None:
+            acc = close(index, acc)
+        if not stack:
+            return acc
+        stack[-1][1] = merge(stack[-1][1], acc)
 
 
 # ----------------------------------------------------------------------
@@ -300,48 +327,47 @@ def _eval_node(node, algebra, evaluation) -> NodeEvaluation:
             state, boundary, dict(node.t_in), dict(node.t_out), node.lanes
         )
     elif node.kind == "T":
-        children: dict = {index: [] for index in range(len(node.children))}
-        for index, parent in node.member_parent.items():
-            if parent is not None:
-                children[parent].append(index)
 
-        def subtree(index: int) -> NodeEvaluation:
-            member = node.children[index]
-            acc = _eval_node(member, algebra, evaluation)
-            acc_state, acc_boundary = acc.state, acc.boundary
-            t_in, t_out = dict(acc.t_in), dict(acc.t_out)
-            for kid_index in sorted(children[index]):
-                kid = subtree(kid_index)
-                # Parent-merge: glue the kid's in-terminals (same vertex
-                # names) onto the current out-terminals, lane-wise.
-                identify = []
-                for lane in kid.lanes:
-                    left_pos = acc_boundary.index(t_out[lane])
-                    right_pos = kid.boundary.index(kid.t_in[lane])
-                    identify.append((left_pos, right_pos))
-                acc_state = algebra.join(
-                    acc_state,
-                    len(acc_boundary),
-                    kid.state,
-                    len(kid.boundary),
-                    tuple(identify),
-                )
-                glued = {kid.t_in[lane] for lane in kid.lanes}
-                acc_boundary = acc_boundary + tuple(
-                    v for v in kid.boundary if v not in glued
-                )
-                for lane in kid.lanes:
-                    t_out[lane] = kid.t_out[lane]
-                acc_state, acc_boundary = _project(
-                    algebra, acc_state, acc_boundary, acc.lanes, t_in, t_out
-                )
-            sub_result = NodeEvaluation(
-                acc_state, acc_boundary, t_in, t_out, acc.lanes
+        def open_member(index: int) -> NodeEvaluation:
+            acc = _eval_node(node.children[index], algebra, evaluation)
+            return NodeEvaluation(
+                acc.state, acc.boundary, dict(acc.t_in), dict(acc.t_out),
+                acc.lanes,
             )
-            evaluation.subtree_eval[member.node_id] = sub_result
-            return sub_result
 
-        result = subtree(node.root_member)
+        def merge(acc: NodeEvaluation, kid: NodeEvaluation) -> NodeEvaluation:
+            # Parent-merge: glue the kid's in-terminals (same vertex
+            # names) onto the current out-terminals, lane-wise.
+            identify = []
+            for lane in kid.lanes:
+                left_pos = acc.boundary.index(acc.t_out[lane])
+                right_pos = kid.boundary.index(kid.t_in[lane])
+                identify.append((left_pos, right_pos))
+            state = algebra.join(
+                acc.state,
+                len(acc.boundary),
+                kid.state,
+                len(kid.boundary),
+                tuple(identify),
+            )
+            glued = {kid.t_in[lane] for lane in kid.lanes}
+            boundary = acc.boundary + tuple(
+                v for v in kid.boundary if v not in glued
+            )
+            for lane in kid.lanes:
+                acc.t_out[lane] = kid.t_out[lane]
+            state, boundary = _project(
+                algebra, state, boundary, acc.lanes, acc.t_in, acc.t_out
+            )
+            return NodeEvaluation(
+                state, boundary, acc.t_in, acc.t_out, acc.lanes
+            )
+
+        def close(index: int, acc: NodeEvaluation) -> NodeEvaluation:
+            evaluation.subtree_eval[node.children[index].node_id] = acc
+            return acc
+
+        result = _fold_members(node, open_member, merge, close)
         result = NodeEvaluation(
             result.state, result.boundary, dict(node.t_in), dict(node.t_out), node.lanes
         )

@@ -75,8 +75,8 @@ class CertifyingScheme(ProofLabelingScheme):
         width = len(label.certificate.stack[0].info.lanes)
         # One accounting memo per size context: labels of one labeling
         # share record objects heavily, and the report sizes the whole
-        # labeling back to back.  The memo is transient prover-side
-        # state, dropped on pickling like the rest (verifier_only).
+        # labeling back to back.  The memo is transient state, dropped
+        # on pickling.
         memo = self.__dict__.get("_bits_memo")
         if memo is None or memo[0] is not ctx:
             memo = (ctx, {})
@@ -87,18 +87,6 @@ class CertifyingScheme(ProofLabelingScheme):
         state = self.__dict__.copy()
         state.pop("_bits_memo", None)
         return state
-
-    def verifier_only(self):
-        """The verify/measure half without any prover-side state.
-
-        Witness decomposers may be closures and match stages carry cached
-        graphs; neither survives pickling, and neither is needed by the
-        verification round — ``verify`` depends only on the algebra and
-        the certified width.
-        """
-        from repro.api.pipeline import PipelineScheme
-
-        return PipelineScheme(self.algebra, self.max_width, ())
 
 
 # Historical (pre-pipeline) name, kept for external subclasses.

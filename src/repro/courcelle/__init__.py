@@ -15,7 +15,12 @@ against the naive MSO semantics on randomized composition sequences.
 """
 
 from repro.courcelle.boundary import BoundariedGraph, OpSequence, random_op_sequence
-from repro.courcelle.algebra import BoundedAlgebra, ProductAlgebra, WholeGraphAlgebra
+from repro.courcelle.algebra import (
+    AlgebraCapacityError,
+    BoundedAlgebra,
+    ProductAlgebra,
+    WholeGraphAlgebra,
+)
 from repro.courcelle.registry import (
     algebra_for,
     available_algebra_keys,
@@ -26,6 +31,7 @@ __all__ = [
     "BoundariedGraph",
     "OpSequence",
     "random_op_sequence",
+    "AlgebraCapacityError",
     "BoundedAlgebra",
     "ProductAlgebra",
     "WholeGraphAlgebra",

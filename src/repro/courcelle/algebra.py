@@ -28,6 +28,16 @@ from typing import Optional
 from repro.courcelle.boundary import VIRTUAL, BoundariedGraph
 
 
+class AlgebraCapacityError(ValueError):
+    """An algebra cannot represent a boundary this wide.
+
+    Table-based algebras cap their boundary arity (their state is
+    exponential in it).  Hitting the cap says nothing about whether the
+    property holds, so the prover reports it as a refusal of that one
+    property.
+    """
+
+
 class BoundedAlgebra(ABC):
     """Finite-state algebra over boundaried graphs for one property."""
 

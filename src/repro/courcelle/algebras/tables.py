@@ -15,7 +15,11 @@ slot ``i``.
 
 from __future__ import annotations
 
-from repro.courcelle.algebra import BoundedAlgebra, join_slot_map
+from repro.courcelle.algebra import (
+    AlgebraCapacityError,
+    BoundedAlgebra,
+    join_slot_map,
+)
 
 _DENSE_ARITY_LIMIT = 14
 _PROFILE_ARITY_LIMIT = 8
@@ -23,7 +27,7 @@ _PROFILE_ARITY_LIMIT = 8
 
 def _check_arity(arity: int, limit: int, key: str) -> None:
     if arity > limit:
-        raise ValueError(
+        raise AlgebraCapacityError(
             f"algebra {key!r} supports boundary arity <= {limit} (got {arity}); "
             "this is the constant blow-up inherent to table-based Courcelle "
             "DPs — use a smaller lanewidth or a partition-based property"

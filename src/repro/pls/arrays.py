@@ -1,7 +1,7 @@
 """Numpy round-array precompilation beside :class:`ViewFactory`.
 
 ``ViewFactory`` (``repro.pls.model``) slices python lists per vertex to
-build ``LocalView`` objects.  The vectorized executors need the same
+build ``LocalView`` objects.  The vectorized executor needs the same
 round snapshot as flat ``int64`` arrays instead: CSR ``indptr`` /
 ``neighbors`` / ``incident``, plus the per-vertex identifier column.
 :class:`RoundArrays` captures exactly that — it is deliberately *dumb*
@@ -9,14 +9,14 @@ round snapshot as flat ``int64`` arrays instead: CSR ``indptr`` /
 dependency arrow runs ``repro.core -> repro.pls`` and must not reverse).
 
 The module also provides a packed single-buffer representation
-(:func:`pack_round_arrays` / :func:`unpack_round_arrays`) so a parent
-process can publish one ``multiprocessing.shared_memory`` segment and
-workers can rebuild zero-copy array views from it.
+(:func:`pack_round_arrays` / :func:`unpack_round_arrays`) so the
+artifact cache can persist a round's arrays as one int64 column and a
+later process can rebuild zero-copy array views from it.
 
 numpy is an optional dependency of the repo; importing this module
 raises ``RuntimeError`` when it is absent so callers can gate cleanly
 (``repro.api.vectorized`` catches this and falls back to the reference
-executors).
+path).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _require_numpy():
     if _np is None:  # pragma: no cover - numpy is present in CI
         raise RuntimeError(
             "numpy is required for repro.pls.arrays; install it or use "
-            "the serial/parallel executors"
+            "the serial executor"
         )
     return _np
 
@@ -123,7 +123,7 @@ _PACK_MAGIC = 0x52415252  # "RARR"
 
 def pack_round_arrays(arrays: RoundArrays, order: Optional[Sequence[int]] = None):
     """Serialise a :class:`RoundArrays` (+ optional vertex order) into one
-    contiguous int64 buffer suitable for a shared-memory segment.
+    contiguous int64 buffer (the artifact cache's persisted form).
 
     Layout: ``[magic, n, m, len(order)] ++ indptr ++ neighbors ++
     incident ++ identifiers ++ order``.  Lengths of the CSR arrays are
@@ -148,8 +148,8 @@ def pack_round_arrays(arrays: RoundArrays, order: Optional[Sequence[int]] = None
 def unpack_round_arrays(buf) -> Tuple[RoundArrays, "object"]:
     """Inverse of :func:`pack_round_arrays`.
 
-    ``buf`` is any int64 array-like (typically ``np.frombuffer`` over a
-    shared-memory segment).  Returns ``(RoundArrays, order)`` where the
+    ``buf`` is any int64 array-like (typically a column loaded from the
+    artifact cache).  Returns ``(RoundArrays, order)`` where the
     array fields are zero-copy views into ``buf``.
     """
     np = _require_numpy()

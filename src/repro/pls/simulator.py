@@ -27,7 +27,7 @@ def run_verification(
     """Run the distributed verification round and collect verdicts.
 
     Thin shim over :class:`repro.api.runtime.VerificationEngine` (serial
-    executor, no short-circuit); use the engine directly for parallel
+    executor, no short-circuit); use the engine directly for vectorized
     execution, fail-fast audits, or the structured report.  (The import
     is deferred: ``repro.api`` depends on this package.)
     """

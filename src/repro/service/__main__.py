@@ -70,18 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocking worker threads (default: 2)",
     )
     parser.add_argument(
-        "--prover-workers", type=int, default=0, metavar="N",
-        help="per-thread resident ParallelProver pool size (0 = serial)",
-    )
-    parser.add_argument(
-        "--engine-workers", type=int, default=0, metavar="N",
-        help="per-thread resident executor pool size (0 = serial)",
-    )
-    parser.add_argument(
         "--engine", default="serial", metavar="KIND",
-        help="verification executor kind: serial, parallel, vectorized,"
-        " or shared-memory (default: serial; serial with"
-        " --engine-workers>0 upgrades to parallel)",
+        help="verification executor kind: serial or vectorized"
+        " (default: serial)",
     )
     parser.add_argument(
         "--byte-budget", type=parse_bytes, default=None, metavar="BYTES",
@@ -101,8 +92,6 @@ def main(argv=None) -> int:
         k=args.k,
         exact_limit=args.exact_limit,
         worker_threads=args.workers,
-        prover_workers=args.prover_workers,
-        engine_workers=args.engine_workers,
         engine=args.engine,
         byte_budget=args.byte_budget,
         drain_timeout=args.drain_timeout,

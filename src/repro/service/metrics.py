@@ -98,7 +98,7 @@ class ServiceMetrics:
       whose report carried :attr:`VerificationReport.kernel_stats`,
       with summed ``kernel_accepted`` / ``fallback_vertices`` /
       ``compiled_vertices`` across them — the observable proof that a
-      ``vectorized`` / ``shared-memory`` engine actually decided
+      ``vectorized`` engine actually decided
       vertices in the batched kernels rather than the reference path;
     * incremental counters (the ``update`` op): ``updates`` applied,
       ``bags_dirtied`` across their decomposition repairs,

@@ -6,12 +6,10 @@
 (:mod:`repro.service.coalesce`), and bridges the blocking certification
 machinery onto the event loop through a thread pool — each worker
 thread owns its own :class:`~repro.api.session.CertificationSession`
-(and, when configured, its own pool-resident
-:class:`~repro.api.prover.ParallelProver` /
-:class:`~repro.api.runtime.ParallelExecutor`), while all threads share
-one sharded :class:`~repro.api.store.CertificateStore` — the store's
-writes are atomic and its artifact cache is fingerprint-addressed, so
-concurrent writers are safe by construction.
+and verification engine, while all threads share one sharded
+:class:`~repro.api.store.CertificateStore` — the store's writes are
+atomic and its artifact cache is fingerprint-addressed, so concurrent
+writers are safe by construction.
 
 Request lifecycle (the shape ``docs/ARCHITECTURE.md`` § "The service
 layer" diagrams):
@@ -49,8 +47,6 @@ from repro.api import (
     CertificationSession,
     DropAttack,
     MutationAttack,
-    ParallelExecutor,
-    ParallelProver,
     StoreError,
     SwapAttack,
     VerificationEngine,
@@ -89,23 +85,16 @@ class ServiceError(ValueError):
 class ServiceConfig:
     """Everything a daemon instance is parameterized by.
 
-    ``prover_workers`` / ``engine_workers`` of 0 keep proving and
-    verification serial *within* a request (requests still overlap
-    through ``worker_threads``); positive values give each worker
-    thread its own resident process pool of that size — the
-    PR 4/5 pool-resident dispatch, bridged behind the event loop.
+    Proving and verification run in one process; requests overlap
+    through ``worker_threads``.
     """
 
     store_root: Path
     k: int = 2
     exact_limit: Optional[int] = None
     worker_threads: int = 2
-    prover_workers: int = 0
-    engine_workers: int = 0
     #: Verification executor kind: any :func:`repro.api.runtime
-    #: .executor_names` entry ("serial", "parallel", "vectorized",
-    #: "shared-memory").  "serial" with ``engine_workers > 0`` keeps the
-    #: pre-PR 8 behaviour of upgrading to a resident process pool.
+    #: .executor_names` entry ("serial" or "vectorized").
     engine: str = "serial"
     byte_budget: Optional[int] = None
     #: Seconds the daemon waits for in-flight requests on shutdown.
@@ -114,11 +103,9 @@ class ServiceConfig:
     def __post_init__(self):
         if self.worker_threads < 1:
             raise ValueError("worker_threads must be positive")
-        if self.prover_workers < 0 or self.engine_workers < 0:
-            raise ValueError("pool worker counts cannot be negative")
         from repro.api.runtime import executor_names
 
-        self.engine = self.engine.strip().lower().replace("_", "-")
+        self.engine = self.engine.strip().lower()
         if self.engine not in executor_names():
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
@@ -148,7 +135,6 @@ class CertificationService:
         self._tls = threading.local()
         self._lock = threading.Lock()
         self._sessions: list = []  # every thread-local session (for stats)
-        self._closeables: list = []  # resident pools to close on shutdown
         #: (fingerprint, properties, k) -> (stream lock, certifier).
         #: Each edit stream owns its certifier (and that certifier its
         #: session — never shared with a thread-local certify session);
@@ -163,25 +149,9 @@ class CertificationService:
     def _engine(self) -> VerificationEngine:
         engine = getattr(self._tls, "engine", None)
         if engine is None:
-            name = self.config.engine
-            if name == "serial" and self.config.engine_workers > 0:
-                name = "parallel"  # pre-PR 8 upgrade path
-            if name == "serial":
-                executor = None
-            else:
-                from repro.api.runtime import make_executor
+            from repro.api.runtime import make_executor
 
-                kwargs = {}
-                if (
-                    name in ("parallel", "shared-memory")
-                    and self.config.engine_workers > 0
-                ):
-                    kwargs["max_workers"] = self.config.engine_workers
-                executor = make_executor(name, **kwargs)
-                if hasattr(executor, "close"):
-                    with self._lock:
-                        self._closeables.append(executor)
-            engine = VerificationEngine(executor)
+            engine = VerificationEngine(make_executor(self.config.engine))
             self._tls.engine = engine
         return engine
 
@@ -191,21 +161,15 @@ class CertificationService:
             sessions = self._tls.sessions = {}
         session = sessions.get(k)
         if session is None:
-            prover = None
-            if self.config.prover_workers > 0:
-                prover = ParallelProver(max_workers=self.config.prover_workers)
             session = CertificationSession(
                 k=k,
                 exact_limit=self.config.exact_limit,
                 engine=self._engine(),
                 store=self.store,
-                prover=prover,
             )
             sessions[k] = session
             with self._lock:
                 self._sessions.append(session)
-                if prover is not None:
-                    self._closeables.append(prover)
         return session
 
     # ------------------------------------------------------------------
@@ -600,10 +564,7 @@ class CertificationService:
         """The ``metrics`` op's response body: every layer, one dict."""
         snap = self.metrics.snapshot()
         snap["protocol_version"] = PROTOCOL_VERSION
-        snap["engine"] = {
-            "kind": self.config.engine,
-            "workers": self.config.engine_workers,
-        }
+        snap["engine"] = {"kind": self.config.engine}
         snap["store"] = self.store.stats()
         snap["store_metrics"] = self.store.metrics.snapshot()
         snap["stage_counters"] = self.stage_counters()
@@ -615,23 +576,16 @@ class CertificationService:
         return self._closed
 
     def close_blocking(self) -> None:
-        """Drain worker threads and release every resident pool.
+        """Drain worker threads.
 
         Idempotent.  New :meth:`handle` calls are refused the moment
         this starts; jobs already on worker threads run to completion
-        (``ThreadPoolExecutor.shutdown(wait=True)``), then the
-        pool-resident provers/executors shut their worker processes
-        down — nothing leaks past this call.
+        (``ThreadPoolExecutor.shutdown(wait=True)``).
         """
         if self._closed:
             return
         self._closed = True
         self._pool.shutdown(wait=True)
-        with self._lock:
-            closeables = list(self._closeables)
-            self._closeables.clear()
-        for resource in closeables:
-            resource.close()
 
     async def close(self) -> None:
         """Async wrapper over :meth:`close_blocking` (drains off-loop)."""

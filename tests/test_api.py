@@ -7,6 +7,7 @@ lanewidth matcher, and the exact-decomposition cutoff parameter.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.core import (
     apply_construction,
     random_lanewidth_sequence,
 )
+from repro.experiments import lanewidth_workload
 from repro.graphs import Graph
 from repro.graphs.generators import (
     caterpillar_graph,
@@ -87,6 +89,40 @@ class TestProverFailureReports:
         )
         with pytest.raises(ProverFailure):
             scheme.prove(config)
+
+
+class TestFailureEnvelope:
+    """Sizes and algebras the API accepts end in a report, never in a
+    stray exception."""
+
+    def test_member_chain_fold_needs_no_deep_stack(self):
+        # T-node member chains grow with n (Observation 5.5 bounds only
+        # the hierarchy depth); this host's chain is deeper than the
+        # lowered limit, so a recursive fold would raise RecursionError.
+        sequence, _graph = lanewidth_workload(3, 1024, 1)
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            report = CertificationSession(rng=random.Random(2)).certify(
+                sequence, "connected"
+            )
+        finally:
+            sys.setrecursionlimit(previous)
+        assert not report.refused
+        assert report.accepted and report.verification.accepted
+        assert report.n == 1024
+
+    def test_capacity_limit_refuses_only_that_property(self):
+        sequence, _graph = lanewidth_workload(3, 256, 1)
+        reports = CertificationSession(rng=random.Random(2)).certify(
+            sequence, ["connected", "colorable-3", "even-order"]
+        )
+        assert list(reports) == ["connected", "colorable-3", "even-order"]
+        assert reports["connected"].accepted
+        assert reports["even-order"].accepted
+        refused = reports["colorable-3"]
+        assert refused.refused and not refused.accepted
+        assert "supports boundary arity <= 8" in refused.refusal
 
 
 class TestSessionCaching:

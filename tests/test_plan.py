@@ -1,4 +1,4 @@
-"""Tests for plan-based proving (repro.api.plan / artifacts / prover).
+"""Tests for plan-based proving (repro.api.plan / artifacts).
 
 The acceptance contract of the plan refactor:
 
@@ -9,8 +9,6 @@ The acceptance contract of the plan refactor:
 * **warm cache runs zero structural nodes** — stage-counter assertions
   in-session, across sessions sharing a cache, and from a **fresh
   interpreter** over a disk-backed cache;
-* **parallel per-property proving** is verdict- and bit-identical to the
-  serial path and ships its structural payload once per pool;
 * corrupted artifact envelopes are treated as misses (recompute), never
   as failures.
 """
@@ -33,7 +31,6 @@ from repro.api import (
     CertificationPlan,
     CertificationSession,
     LabelStage,
-    ParallelProver,
     PipelineContext,
     PlanError,
     PlanRunner,
@@ -304,51 +301,11 @@ class TestWarmCacheStageCounters:
         assert fresh.get("b" * 40) is None
         assert fresh.get("a" * 40) is None
 
-
-class TestParallelProver:
-    def test_parallel_batch_identical_to_serial(self):
-        seq, _graph = lanewidth_workload(2, 24, 51)
-        serial = CertificationSession(rng=random.Random(52))
-        sr = serial.certify(seq, ZOO, verify=False)
-        with ParallelProver(max_workers=2) as prover:
-            par_session = CertificationSession(
-                rng=random.Random(52), prover=prover
-            )
-            pr = par_session.certify(seq, ZOO, verify=False)
-            assert prover.payload_ships == 1
-            assert par_session.stage_counters == serial.stage_counters
-            # Already-proven properties are cache-served or run inline:
-            # a repeat batch never ships another payload.
-            pr2 = par_session.certify(seq, ["connected"], verify=False)
-            assert pr2["connected"].accepted
-            assert prover.payload_ships == 1
-        for key in ZOO:
-            a, b = sr[key], pr[key]
-            assert a.refused == b.refused, key
-            assert a.accepted == b.accepted, key
-            if not a.refused:
-                assert a.max_label_bits == b.max_label_bits, key
-                assert a.total_label_bits == b.total_label_bits, key
-                assert a.class_count == b.class_count, key
-                assert a.labeling.mapping == b.labeling.mapping, key
-
-    def test_parallel_reports_verify(self):
-        seq, _graph = lanewidth_workload(2, 16, 53)
-        with ParallelProver(max_workers=2) as prover:
-            session = CertificationSession(
-                rng=random.Random(54), prover=prover
-            )
-            reports = session.certify(seq, ["connected", "even-order"])
-        for report in reports.values():
-            if not report.refused:
-                assert report.accepted
-                assert report.verification is not None
-                assert report.verification.accepted
-
-    def test_prover_payload_is_pickle_stable(self):
-        # The structural payload must round-trip: hierarchy evaluations
-        # are node_id-keyed, so an evaluation pickled across a process
-        # boundary still resolves against an equal hierarchy copy.
+    def test_hierarchy_evaluation_is_pickle_stable(self):
+        # Structural artifacts must round-trip through the disk cache:
+        # hierarchy evaluations are node_id-keyed, so an evaluation
+        # pickled across a process boundary still resolves against an
+        # equal hierarchy copy.
         from repro.core.hierarchy import evaluate_hierarchy
         from repro.courcelle.registry import algebra_for
 

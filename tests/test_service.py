@@ -16,12 +16,10 @@ under ``asyncio.run`` inside plain test functions.
 
 import asyncio
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -498,32 +496,11 @@ class TestServiceHandle:
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             ServiceConfig(store_root=tmp_path, worker_threads=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(store_root=tmp_path, prover_workers=-1)
-
-
-class TestResidentPools:
-    def test_close_leaves_no_worker_processes(self, tmp_path):
-        """The graceful-shutdown satellite: a service configured with
-        resident prover/executor pools must reap every worker process
-        when closed."""
-        service = _service(
-            tmp_path, worker_threads=1, prover_workers=2, engine_workers=2
-        )
-        graph = _graph(seed=51)
-        try:
-            response = asyncio.run(service.handle(_certify_request(graph, 1)))
-            assert response["ok"], response
-            assert response["result"]["reports"]["connected"]["accepted"]
-            # The thread-local session spun its pools up.
-            spawned = multiprocessing.active_children()
-            assert spawned, "resident pools should own worker processes"
-        finally:
-            service.close_blocking()
-        deadline = time.time() + 30
-        while multiprocessing.active_children() and time.time() < deadline:
-            time.sleep(0.05)
-        assert multiprocessing.active_children() == []
+        # Outside input: a deleted executor kind is refused, never
+        # silently mapped onto a surviving one.
+        for kind in ("parallel", "shared-memory"):
+            with pytest.raises(ValueError, match="serial, vectorized"):
+                ServiceConfig(store_root=tmp_path, engine=kind)
 
 
 # ----------------------------------------------------------------------

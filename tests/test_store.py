@@ -121,24 +121,26 @@ class TestReverifyWithoutProving:
         assert out.verification.accepted
         assert out.verification.views_built == out.n
 
-    def test_store_reverify_with_parallel_engine(self, tmp_path):
-        """The stored path is not pinned to the serial engine: a
-        pool-resident ParallelExecutor verifies a rehydrated report with
-        identical verdicts (the loaded verifier half is pickle-safe)."""
-        from repro.api import ParallelExecutor
+    def test_store_reverify_with_vectorized_engine(self, tmp_path):
+        """The stored path is not pinned to the serial engine: the
+        vectorized kernels verify a rehydrated report with identical
+        verdicts."""
+        from repro.api import VectorizedExecutor
 
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=68, store=store)
         serial = store.reverify(graph.fingerprint(), "connected")
-        with ParallelExecutor(max_workers=2) as executor:
-            parallel = store.reverify(
-                graph.fingerprint(),
-                "connected",
-                engine=VerificationEngine(executor),
-            )
-        assert parallel.accepted
-        assert parallel.verification.executor == "parallel"
-        assert parallel.verification.verdicts == serial.verification.verdicts
+        vectorized = store.reverify(
+            graph.fingerprint(),
+            "connected",
+            engine=VerificationEngine(VectorizedExecutor(audit=True)),
+        )
+        assert vectorized.accepted
+        assert vectorized.verification.executor == "vectorized"
+        assert vectorized.verification.kernel_stats["mode"] == "kernel"
+        assert (
+            vectorized.verification.verdicts == serial.verification.verdicts
+        )
 
     def test_fresh_process_load_and_verify(self, tmp_path):
         """The acceptance criterion, literally: a separate interpreter

@@ -1,23 +1,20 @@
-"""Tests for the PR 8 vectorized verification hot path.
+"""Tests for the vectorized verification hot path.
 
 The contract under test is *verdict identity*: the batched numpy
-kernels (:class:`repro.api.VectorizedExecutor`) and the shared-memory
-process-pool executor (:class:`repro.api.SharedMemoryExecutor`) must
-return exactly the reference executor's (accepted, per-vertex verdicts,
-rejecting set) on every configuration and labeling — honest or
-adversarially mutated — because kernels only *accept* when every
-reference check provably passes and everything else falls back to the
-reference ``LocalView`` path.  The differential harness runs the
-vectorized executor in ``audit`` mode, which re-checks every
-kernel-accept against the reference verifier and raises on divergence.
+kernels (:class:`repro.api.VectorizedExecutor`) must return exactly the
+reference executor's (accepted, per-vertex verdicts, rejecting set) on
+every configuration and labeling — honest or adversarially mutated —
+because kernels only *accept* when every reference check provably
+passes and everything else falls back to the reference ``LocalView``
+path.  The differential harness runs the vectorized executor in
+``audit`` mode, which re-checks every kernel-accept against the
+reference verifier and raises on divergence.
 
-Also covered: the executor registry (:func:`repro.api.make_executor`),
-shared-memory segment lifecycle (unlink on close / context exit / after
-an injected worker crash; attach from a fresh interpreter), the
-``AuditPlan`` engine override with the transplant-attack regression,
-the columnar bulk decoder, and the service-level engine selection.
+Also covered: executor lookup by name (:func:`repro.api.make_executor`),
+held-round invalidation on graph edits, the ``AuditPlan`` engine
+override with the transplant-attack regression, the columnar bulk
+decoder, and the service-level engine selection.
 """
-
 import json
 import os
 import random
@@ -36,20 +33,18 @@ from repro.api import (
     AuditPlan,
     CertificationSession,
     SerialExecutor,
-    SharedMemoryExecutor,
     TransplantAttack,
     VectorizedExecutor,
     VerificationEngine,
     VerificationReport,
     executor_names,
     make_executor,
-    register_executor,
 )
 from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
 from repro.experiments import lanewidth_workload, seed_stream
 from repro.graphs.generators import cycle_graph
-from repro.pls import HAVE_NUMPY, RoundArrays, pack_round_arrays
+from repro.pls import HAVE_NUMPY
 from repro.pls.adversary import (
     corrupt_one_label,
     drop_one_label,
@@ -115,28 +110,24 @@ class VertexScheme(ProofLabelingScheme):
 
 class TestExecutorRegistry:
     def test_names(self):
-        names = executor_names()
-        for kind in ("serial", "parallel", "vectorized", "shared-memory"):
-            assert kind in names
+        assert executor_names() == ["serial", "vectorized"]
 
     def test_make_executor_kinds(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("vectorized"), VectorizedExecutor)
-        shm = make_executor("shared_memory", max_workers=2)
-        assert isinstance(shm, SharedMemoryExecutor)  # canonicalized
-        shm.close()
+        # Case and surrounding whitespace are canonicalized.
+        assert isinstance(make_executor(" Vectorized "), VectorizedExecutor)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="unknown executor"):
             make_executor("quantum")
-
-    def test_register_custom(self):
-        class Custom(SerialExecutor):
-            name = "custom-test"
-
-        register_executor("custom-test", Custom)
-        assert "custom-test" in executor_names()
-        assert isinstance(make_executor("custom-test"), Custom)
+        # The deleted process-pool kinds are outside input like any
+        # other unknown name: refused, never mapped onto a survivor.
+        for kind in ("parallel", "shared-memory", "shared_memory"):
+            with pytest.raises(
+                ValueError, match=r"known: \['serial', 'vectorized'\]"
+            ):
+                make_executor(kind)
 
 
 @needs_numpy
@@ -207,120 +198,35 @@ class TestVectorizedDifferential:
         assert back.kernel_stats == report.kernel_stats
         assert back.kernel_stats["mode"] == "kernel"
 
-
-@needs_numpy
-class TestSharedMemoryExecutor:
-    def test_verdicts_match_serial(self):
-        config, scheme, labeling = _case(31, extra=12)
-        rng = random.Random(31)
-        with SharedMemoryExecutor(max_workers=2) as executor:
-            for candidate in (labeling, corrupt_one_label(labeling, rng)):
-                _assert_equivalent(config, scheme, candidate, executor)
-
-    def test_close_unlinks_segments(self):
-        from multiprocessing import shared_memory
-
-        config, scheme, labeling = _case(32)
-        executor = SharedMemoryExecutor(max_workers=2)
-        report = VerificationEngine(executor).verify(config, scheme, labeling)
-        assert report.accepted
-        names = executor.segment_names()
-        assert len(names) == 2  # arrays segment + verifier blob segment
-        executor.close()
-        assert executor.segment_names() == []
-        for name in names:
-            # The no-leak assertion: the named segment is gone.
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_context_exit_unlinks_segments(self):
-        from multiprocessing import shared_memory
-
-        config, scheme, labeling = _case(33)
-        with SharedMemoryExecutor(max_workers=2) as executor:
-            VerificationEngine(executor).verify(config, scheme, labeling)
-            names = executor.segment_names()
-            assert names
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_worker_crash_recovers_and_unlinks(self, monkeypatch):
-        """An injected worker crash (os._exit) must not leak segments:
-        the round recovers serially in the parent with correct verdicts
-        and every published segment is unlinked."""
-        from multiprocessing import shared_memory
-
-        monkeypatch.setenv("REPRO_SHM_CRASH", "1")
-        config, scheme, labeling = _case(34)
-        executor = SharedMemoryExecutor(max_workers=2)
-        try:
-            report = VerificationEngine(executor).verify(
-                config, scheme, labeling
-            )
-            names_after = executor.segment_names()
-            assert names_after == []  # crash path closed them already
-            assert report.accepted
-            assert report.kernel_stats["mode"] == "reference"
-            assert report.kernel_stats["reason"] == "worker pool crashed"
-            serial = VerificationEngine(SerialExecutor()).verify(
-                config, scheme, labeling
-            )
-            assert report.verdicts == serial.verdicts
-        finally:
-            executor.close()
-
-    def test_fresh_interpreter_attaches_by_name(self):
-        """A brand-new python process can attach to a published segment
-        by name alone and rebuild the round arrays zero-copy."""
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        arrays = RoundArrays(
-            n=3,
-            m=2,
-            indptr=np.asarray([0, 1, 2, 4], dtype=np.int64),
-            neighbors=np.asarray([1, 2, 0, 1], dtype=np.int64),
-            incident=np.asarray([0, 1, 0, 1], dtype=np.int64),
-            identifiers=np.asarray([10, 20, 30], dtype=np.int64),
+    def test_held_round_invalidated_by_graph_edits(self):
+        """The executor keeps one compiled round across rounds over the
+        same objects, and drops it when the graph is edited in place:
+        structural edits replace the CSR snapshot, input-label edits
+        bump the label version.  Verdicts track the serial reference."""
+        config, scheme, labeling = _case(29)
+        executor = VectorizedExecutor(audit=True)
+        engine = VerificationEngine(executor)
+        assert engine.verify(config, scheme, labeling).accepted
+        held = executor._held_round
+        assert engine.verify(config, scheme, labeling).accepted
+        assert executor._held_round is held  # no per-round recompile
+        graph = config.graph
+        non_edge = next(
+            (u, v)
+            for u in graph.vertices()
+            for v in graph.vertices()
+            if u < v and not graph.has_edge(u, v)
         )
-        packed = pack_round_arrays(arrays, [2, 0, 1])
-        segment = shared_memory.SharedMemory(
-            create=True, size=int(packed.nbytes)
+        graph.add_edge(*non_edge)  # in place: identity unchanged
+        _serial, edited = _assert_equivalent(
+            config, scheme, labeling, executor
         )
-        try:
-            np.frombuffer(segment.buf, dtype=np.int64)[
-                : packed.shape[0]
-            ] = packed
-            script = (
-                "import sys, numpy as np\n"
-                "from repro.api.vectorized import _shm_attach\n"
-                "from repro.pls import unpack_round_arrays\n"
-                "segment = _shm_attach(sys.argv[1])\n"
-                "flat = np.frombuffer(segment.buf, dtype=np.int64)\n"
-                "arrays, order = unpack_round_arrays(flat)\n"
-                "out = (arrays.n, arrays.m, [int(x) for x in order])\n"
-                "print(*out[:2], out[2])\n"
-                "del arrays, order, flat\n"
-                "segment.close()\n"
-            )
-            src_root = str(Path(__file__).resolve().parents[1] / "src")
-            env = dict(os.environ)
-            env["PYTHONPATH"] = os.pathsep.join(
-                [src_root, env.get("PYTHONPATH", "")]
-            )
-            result = subprocess.run(
-                [sys.executable, "-c", script, segment.name],
-                capture_output=True,
-                text=True,
-                env=env,
-                timeout=60,
-            )
-            assert result.returncode == 0, result.stderr
-            assert result.stdout.strip() == "3 2 [2, 0, 1]"
-        finally:
-            segment.close()
-            segment.unlink()
+        assert executor._held_round is not held
+        assert not edited.accepted  # the unlabeled new edge rejects
+        held = executor._held_round
+        graph.set_edge_label(*non_edge, "mutated")
+        _assert_equivalent(config, scheme, labeling, executor)
+        assert executor._held_round is not held
 
 
 @needs_numpy
@@ -431,8 +337,11 @@ class TestServiceEngine:
     def test_config_validates_and_canonicalizes(self, tmp_path):
         with pytest.raises(ValueError, match="unknown engine"):
             ServiceConfig(store_root=tmp_path, engine="bogus")
-        config = ServiceConfig(store_root=tmp_path, engine="Shared_Memory")
-        assert config.engine == "shared-memory"
+        config = ServiceConfig(store_root=tmp_path, engine=" Vectorized ")
+        assert config.engine == "vectorized"
+        for kind in ("parallel", "shared-memory"):
+            with pytest.raises(ValueError, match="serial, vectorized"):
+                ServiceConfig(store_root=tmp_path, engine=kind)
 
     def test_vectorized_service_reverify(self, tmp_path):
         config = ServiceConfig(store_root=tmp_path, engine="vectorized")
@@ -516,24 +425,6 @@ class TestRoundArraysPersistence:
         session.certify(sequence, "connected")
         assert engine.executor.artifacts is own
 
-    def test_shared_memory_executor_adopts_cache(self, tmp_path):
-        config, scheme, labeling = _case(5)
-        cache = ArtifactCache(root=tmp_path)
-        with SharedMemoryExecutor(max_workers=2, artifacts=cache) as first:
-            report = VerificationEngine(first).verify(
-                config, scheme, labeling
-            )
-        assert report.kernel_stats.get("arrays_cached") is False
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as restarted:
-            second = VerificationEngine(restarted).verify(
-                config, scheme, labeling
-            )
-        assert second.kernel_stats.get("arrays_cached") is True
-        assert second.verdicts == report.verdicts
-
-
 @needs_numpy
 class TestCompiledRoundPersistence:
     """PR 10 tentpole: compiled rounds survive process restarts.
@@ -589,26 +480,6 @@ class TestCompiledRoundPersistence:
             ).verify(config, scheme, labeling)
             assert report.kernel_stats["mode"] == "kernel"
             assert report.kernel_stats["compiled_round_cached"] is False
-
-    def test_shared_memory_ships_persisted_round(self, tmp_path):
-        """The pool parent validates + ships the envelope blob; workers
-        attach instead of compiling."""
-        config, scheme, labeling = self._stamped_case(5)
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as first:
-            cold = VerificationEngine(first).verify(config, scheme, labeling)
-        assert cold.kernel_stats.get("compiled_round_cached") is False
-        with SharedMemoryExecutor(
-            max_workers=2, artifacts=ArtifactCache(root=tmp_path)
-        ) as restarted:
-            warm = VerificationEngine(restarted).verify(
-                config, scheme, labeling
-            )
-        assert warm.kernel_stats.get("compiled_round_cached") is True
-        assert warm.kernel_stats.get("compile_seconds") == 0.0
-        assert warm.verdicts == cold.verdicts
-        assert warm.accepted == cold.accepted
 
     # -- envelope guards (PR 10 satellite): stale/corrupt == miss ------
     @staticmethod
