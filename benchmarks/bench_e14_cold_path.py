@@ -12,8 +12,11 @@ first run in a fresh process, nothing resident:
 * **wire encode** — the per-label bit loop is replaced by the columnar
   bulk encoder (one interned field column + one vectorized packing),
   byte-identical by construction and asserted here.
+* **wire decode** — the decode twin: the bulk decoder reads each label
+  as one integer and parses each distinct info and pointer once; its
+  result is asserted ``==`` to the reference decode here.
 
-Two legs per n:
+Three legs per n:
 
 * ``cold_s`` vs ``restart_s`` — full verification wall-clock with a
   fresh executor over an empty cache directory (compile + verify +
@@ -26,14 +29,19 @@ Two legs per n:
   reference ``encode_labeling``.  The legs run interleaved (same loop
   iteration, per-round ratios, median reported) because sequential
   timing on a noisy box skews either way by 30-50%.
+* ``decode_perlabel_s`` vs ``decode_bulk_s`` — the reference
+  :meth:`EncodedLabeling.decode` (one ``decode_label`` per edge, no
+  sharing) vs :func:`decode_labeling_columnar` over the same encoded
+  labeling, interleaved the same way, the two mappings asserted equal.
 
 The committed baseline lives at ``benchmarks/BENCH_E14.json`` (refresh
 deliberately via ``E14_OUT``; the bench refuses to overwrite it
 otherwise).  Knobs: ``E14_SIZES`` (comma-separated n values; CI smoke
-uses a tiny workload), ``E14_ENCODE_ROUNDS``, and
-``E14_REQUIRE_SPEEDUP`` — when set, assert at the largest n that the
-restart leg is >= 2x cold and the bulk encode >= 3x the per-label
-loop (the gates the committed baseline was generated under).
+uses a tiny workload), ``E14_ENCODE_ROUNDS`` (rounds of both codec
+legs), and ``E14_REQUIRE_SPEEDUP`` — when set, assert at the largest n
+that the restart leg is >= 2x cold and the bulk encode and the bulk
+decode are each >= 3x their per-label loops (the gates the committed
+baseline was generated under).
 """
 
 import gc
@@ -51,6 +59,7 @@ from repro.api import (
 )
 from repro.codec import (
     WireHeader,
+    decode_labeling_columnar,
     encode_label,
     encode_labeling,
     encode_labeling_columnar,
@@ -100,6 +109,9 @@ def test_e14_cold_path(benchmark):
             "enc_perlabel_s",
             "enc_bulk_s",
             "enc_x",
+            "dec_perlabel_s",
+            "dec_bulk_s",
+            "dec_x",
         ],
     )
     payload = {"bench": "e14_cold_path", "property": "connected", "series": []}
@@ -179,6 +191,29 @@ def test_e14_cold_path(benchmark):
             encode_bulk_s = min(bulk_times)
             encode_x = encode_perlabel_s / max(encode_bulk_s, 1e-9)
             encode_x_median = statistics.median(ratios)
+            # Decode legs, interleaved the same way: the reference
+            # per-label decode vs the bulk decoder on the same bytes.
+            perlabel_times, bulk_times, ratios = [], [], []
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(ENCODE_ROUNDS):
+                    t0 = time.perf_counter()
+                    reference = bulk.decode()
+                    t1 = time.perf_counter()
+                    decoded = decode_labeling_columnar(bulk)
+                    t2 = time.perf_counter()
+                    perlabel_times.append(t1 - t0)
+                    bulk_times.append(t2 - t1)
+                    ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
+            finally:
+                gc.enable()
+            assert decoded.mapping == reference.mapping
+            assert decoded.mapping == labeling.mapping
+            decode_perlabel_s = min(perlabel_times)
+            decode_bulk_s = min(bulk_times)
+            decode_x = decode_perlabel_s / max(decode_bulk_s, 1e-9)
+            decode_x_median = statistics.median(ratios)
             cold_x = cold_s / max(restart_s, 1e-9)
             point = {
                 "n": n,
@@ -190,6 +225,10 @@ def test_e14_cold_path(benchmark):
                 "encode_speedup": round(encode_x, 2),
                 "encode_speedup_median": round(encode_x_median, 2),
                 "encode_rounds": ENCODE_ROUNDS,
+                "decode_perlabel_s": round(decode_perlabel_s, 6),
+                "decode_bulk_s": round(decode_bulk_s, 6),
+                "decode_speedup": round(decode_x, 2),
+                "decode_speedup_median": round(decode_x_median, 2),
                 "cold_kernel_stats": cold_report.kernel_stats,
                 "restart_kernel_stats": restart_report.kernel_stats,
             }
@@ -202,6 +241,9 @@ def test_e14_cold_path(benchmark):
                 f"{encode_perlabel_s:.4f}",
                 f"{encode_bulk_s:.4f}",
                 f"{encode_x:.1f}x",
+                f"{decode_perlabel_s:.4f}",
+                f"{decode_bulk_s:.4f}",
+                f"{decode_x:.1f}x",
             )
         table.show()
 
@@ -217,6 +259,10 @@ def test_e14_cold_path(benchmark):
         assert top["encode_speedup"] >= 3.0, (
             f"bulk encode only {top['encode_speedup']}x over the "
             f"per-label loop at n={top['n']} (need >= 3x)"
+        )
+        assert top["decode_speedup"] >= 3.0, (
+            f"bulk decode only {top['decode_speedup']}x over the "
+            f"per-label decode at n={top['n']} (need >= 3x)"
         )
 
     if (

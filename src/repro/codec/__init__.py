@@ -37,7 +37,6 @@ from repro.codec.wire import (
     stamp_wire_digest,
 )
 from repro.codec.columnar import (
-    ColumnarDecoder,
     ColumnarEncoder,
     decode_labeling_columnar,
     encode_labeling_columnar,
@@ -60,7 +59,6 @@ __all__ = [
     "decode_labeling",
     "labeling_digest",
     "stamp_wire_digest",
-    "ColumnarDecoder",
     "ColumnarEncoder",
     "decode_labeling_columnar",
     "encode_labeling_columnar",

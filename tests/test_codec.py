@@ -6,6 +6,7 @@ produce, and the *measured* encoded size never exceeding the arithmetic
 ``label_bits`` accounting the reports used to quote.
 """
 
+import functools
 import pickle
 import random
 
@@ -19,8 +20,11 @@ from repro.codec import (
     BitStreamError,
     BitWriter,
     CodecError,
+    EncodedLabel,
+    EncodedLabeling,
     WireHeader,
     decode_label,
+    decode_labeling_columnar,
     encode_label,
     encode_labeling,
     width_for,
@@ -243,6 +247,162 @@ class TestMalformedStreams:
         }
         with pytest.raises(CodecError):
             WireHeader(version=99, **fields)
+
+
+# ----------------------------------------------------------------------
+# Malformed-input parity: the bulk decoder rejects exactly what the
+# reference decoder rejects, and always as CodecError.
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _pathwidth_encoded():
+    """A pathwidth-2 labeling with T, B, E and P records and embedded
+    records, encoded once for the whole module."""
+    graph, decomposition = pathwidth_workload(24, 2, seed=5)
+    report = certify(
+        graph,
+        "connected",
+        k=2,
+        rng=random.Random(6),
+        decomposer=lambda _g: decomposition,
+    )
+    assert report.accepted
+    return encode_labeling(report.labeling)
+
+
+def _with_label(encoded, key, data, bit_length):
+    labels = dict(encoded.labels)
+    labels[key] = EncodedLabel(data=data, bit_length=bit_length)
+    return EncodedLabeling(
+        header=encoded.header, labels=labels, location=encoded.location
+    )
+
+
+def _decode_outcome(decode, encoded):
+    """The decoded mapping, or ``CodecError`` when the input is refused
+    (any other exception type propagates and fails the test)."""
+    try:
+        return decode(encoded).mapping
+    except CodecError:
+        return CodecError
+
+
+_BOTH_DECODERS = pytest.mark.parametrize(
+    "decode",
+    [EncodedLabeling.decode, decode_labeling_columnar],
+    ids=["reference", "bulk"],
+)
+
+
+def _longest_key(encoded):
+    return max(encoded.labels, key=lambda k: encoded.labels[k].bit_length)
+
+
+class TestBulkDecoderMalformedParity:
+    @_BOTH_DECODERS
+    def test_truncated_label_rejected(self, decode):
+        encoded = _pathwidth_encoded()
+        key = _longest_key(encoded)
+        half = encoded.labels[key].data[: len(encoded.labels[key].data) // 2]
+        with pytest.raises(CodecError):
+            decode(_with_label(encoded, key, half, 8 * len(half)))
+        with pytest.raises(CodecError):
+            decode(_with_label(encoded, key, half, None))
+
+    @_BOTH_DECODERS
+    def test_bit_length_one_too_small_rejected(self, decode):
+        encoded = _pathwidth_encoded()
+        for key, label in list(encoded.labels.items())[:8]:
+            with pytest.raises(CodecError):
+                decode(
+                    _with_label(
+                        encoded, key, label.data, label.bit_length - 1
+                    )
+                )
+
+    @_BOTH_DECODERS
+    def test_bit_length_beyond_data_rejected(self, decode):
+        encoded = _pathwidth_encoded()
+        key = _longest_key(encoded)
+        data = encoded.labels[key].data
+        with pytest.raises(CodecError):
+            decode(_with_label(encoded, key, data, 8 * len(data) + 1))
+
+    @_BOTH_DECODERS
+    def test_trailing_bits_rejected(self, decode):
+        encoded = _pathwidth_encoded()
+        padded = [
+            (key, label)
+            for key, label in encoded.labels.items()
+            if label.bit_length % 8
+        ]
+        assert padded
+        for key, label in padded[:8]:
+            with pytest.raises(CodecError, match="trailing data"):
+                decode(
+                    _with_label(
+                        encoded, key, label.data, label.bit_length + 1
+                    )
+                )
+
+    @_BOTH_DECODERS
+    def test_empty_stack_rejected(self, decode):
+        encoded = _pathwidth_encoded()
+        w = BitWriter()
+        w.write(0, encoded.header.depth_width)
+        w.write(0, encoded.header.embed_width)
+        key = next(iter(encoded.labels))
+        with pytest.raises(CodecError, match="empty"):
+            decode(_with_label(encoded, key, w.to_bytes(), w.bit_length))
+
+    def test_honest_labeling_decodes_equal(self):
+        encoded = _pathwidth_encoded()
+        assert decode_labeling_columnar(encoded).mapping == (
+            encoded.decode().mapping
+        )
+
+    @given(
+        index=st.integers(min_value=0, max_value=10**6),
+        flips=st.lists(
+            st.integers(min_value=0, max_value=10**6), max_size=4
+        ),
+        cut=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+        keep_bit_length=st.booleans(),
+        bit_length_delta=st.integers(min_value=-2, max_value=2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_label_same_outcome(
+        self, index, flips, cut, keep_bit_length, bit_length_delta
+    ):
+        """Flip bits of one honest label, truncate it and/or misstate its
+        bit length: both decoders refuse it, or both return equal
+        mappings.  The bad label sits between two honest ones, so the
+        bulk decoder meets it with interning tables already filled."""
+        encoded = _pathwidth_encoded()
+        keys = sorted(encoded.labels, key=repr)
+        at = index % len(keys)
+        key = keys[at]
+        encoded = EncodedLabeling(
+            header=encoded.header,
+            labels={
+                k: encoded.labels[k]
+                for k in (keys[at - 1], key, keys[(at + 1) % len(keys)])
+            },
+            location=encoded.location,
+        )
+        label = encoded.labels[key]
+        data = bytearray(label.data)
+        for flip in flips:
+            bit = flip % (8 * len(data))
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+        bit_length = label.bit_length + bit_length_delta
+        if cut is not None:
+            del data[cut % (len(data) + 1):]
+            if not keep_bit_length:
+                bit_length = min(bit_length, 8 * len(data))
+        bad = _with_label(encoded, key, bytes(data), bit_length)
+        assert _decode_outcome(decode_labeling_columnar, bad) == (
+            _decode_outcome(EncodedLabeling.decode, bad)
+        )
 
 
 # ----------------------------------------------------------------------

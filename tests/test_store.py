@@ -231,3 +231,25 @@ class TestIntegrity:
         path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
         with pytest.raises(StoreError):
             store.load(graph.fingerprint(), "connected")
+
+    def test_truncated_label_bytes_fail_decode_only(self, tmp_path):
+        # One label's bytes cut short inside an otherwise valid manifest:
+        # the decoding load names the payload, while a non-decoding load
+        # still serves the report and its wire form.
+        store = CertificateStore(tmp_path)
+        report, graph = _certified(tmp_path, seed=68, store=store)
+        path = store.path_for(graph.fingerprint(), "connected")
+        manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+        key = max(
+            manifest["labels"], key=lambda k: manifest["labels"][k][1]
+        )
+        data, bits = manifest["labels"][key]
+        manifest["labels"][key] = (data[:-1], bits)
+        path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+        with pytest.raises(StoreError, match="corrupted certificate payload"):
+            store.load(graph.fingerprint(), "connected")
+        served = store.load(graph.fingerprint(), "connected", decode=False)
+        assert served.labeling is None
+        assert served.accepted == report.accepted
+        assert served.encoded.labels[key].data == data[:-1]
+        assert served.encoded.header == report.encoded.header

@@ -37,12 +37,23 @@ from repro.api import (
     VectorizedExecutor,
     VerificationEngine,
     VerificationReport,
+    certify,
     executor_names,
     make_executor,
 )
 from repro.codec import decode_labeling_columnar, encode_labeling
 from repro.core import certify_lanewidth_graph, random_lanewidth_sequence
-from repro.experiments import lanewidth_workload, seed_stream
+from repro.core.certificates import (
+    BLevelRecord,
+    ELevelRecord,
+    PLevelRecord,
+    TLevelRecord,
+)
+from repro.experiments import (
+    lanewidth_workload,
+    pathwidth_workload,
+    seed_stream,
+)
 from repro.graphs.generators import cycle_graph
 from repro.pls import HAVE_NUMPY
 from repro.pls.adversary import (
@@ -308,6 +319,70 @@ class TestColumnarDecode:
         assert distinct_records(columnar.mapping) <= distinct_records(
             reference.mapping
         )
+
+    @staticmethod
+    def _labelings():
+        """The lanewidth case above plus a pathwidth-2 host, whose labels
+        carry B records and embedded records."""
+        graph, decomposition = pathwidth_workload(24, 2, seed=5)
+        report = certify(
+            graph,
+            "connected",
+            k=2,
+            rng=random.Random(6),
+            decomposer=lambda _g: decomposition,
+        )
+        assert report.accepted
+        return {
+            "lanewidth": _case(41, extra=12)[2],
+            "pathwidth": report.labeling,
+        }
+
+    @staticmethod
+    def _parts(mapping):
+        """Every record, info and pointer object the labels reach, with
+        multiplicity, and the number of embedded records."""
+        records, infos, pointers = [], [], []
+        embedded = 0
+        for label in mapping.values():
+            stacks = [label.certificate.stack]
+            for record in label.embedded:
+                embedded += 1
+                stacks.append(record.payload.stack)
+            for stack in stacks:
+                for record in stack:
+                    records.append(record)
+                    infos.append(record.info)
+                    if isinstance(record, TLevelRecord):
+                        infos += [record.member_info, record.member_subtree]
+                        infos += record.child_subtrees
+                        pointers.append(record.pointer)
+                    elif isinstance(record, BLevelRecord):
+                        infos += [record.left, record.right]
+        return records, infos, pointers, embedded
+
+    def test_cases_cover_every_record_kind(self):
+        kinds = set()
+        embedded = 0
+        for labeling in self._labelings().values():
+            records, _infos, _pointers, count = self._parts(labeling.mapping)
+            kinds |= {type(record) for record in records}
+            embedded += count
+        assert kinds == {
+            TLevelRecord, BLevelRecord, ELevelRecord, PLevelRecord
+        }
+        assert embedded >= 1
+
+    @pytest.mark.parametrize("case", ["lanewidth", "pathwidth"])
+    def test_each_distinct_part_decoded_once(self, case):
+        encoded = encode_labeling(self._labelings()[case])
+        reference = encoded.decode()
+        columnar = decode_labeling_columnar(encoded)
+        assert columnar.location == reference.location
+        assert columnar.mapping == reference.mapping
+        for objects in self._parts(columnar.mapping)[:3]:
+            # Equal content implies the same object: one per content.
+            assert len({id(obj) for obj in objects}) == len(set(objects))
 
     @needs_numpy
     def test_store_reverify_round_trips_through_columnar(self):
