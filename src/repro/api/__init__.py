@@ -1,4 +1,4 @@
-"""Public certification API: staged pipeline, sessions, and the facade.
+"""Public certification API: stages, plans, sessions, and the facade.
 
 The Theorem 1 machinery factors into graph-level *structural* stages and
 property-level *evaluation* stages; this package exposes that split:
@@ -7,12 +7,12 @@ property-level *evaluation* stages; this package exposes that split:
   :class:`CertificationReport` objects;
 * :class:`CertificationSession` — memoizes structural artifacts per
   graph fingerprint and proves property batches against one hierarchy;
-* :class:`CertificationPipeline` + the stage classes — explicit,
-  swappable steps with per-stage timings for experiments;
+* the stage classes (:mod:`repro.api.pipeline`) — explicit steps that
+  declare the context fields they read and write;
 * :class:`CertificationPlan` / :class:`PlanRunner` (:mod:`repro.api.plan`)
-  — the stages as a content-addressed artifact DAG: nodes declare typed
-  inputs/outputs, artifacts carry chained fingerprints, and resolved
-  nodes are skipped against an :class:`ArtifactCache`
+  — the stages as a content-addressed artifact DAG and the one runner
+  that executes them: artifacts carry chained fingerprints, and
+  resolved nodes are skipped against an :class:`ArtifactCache`
   (:mod:`repro.api.artifacts`) whose disk layer persists structural
   artifacts next to the certificates;
 * :class:`VerificationEngine` + executors (:mod:`repro.api.runtime`,
@@ -29,8 +29,9 @@ property-level *evaluation* stages; this package exposes that split:
   workflows with zero prover stages on the stored path.
 
 The legacy entry points (``Theorem1Scheme``, ``LanewidthScheme``,
-``certify_lanewidth_graph``) live in :mod:`repro.core` and delegate to
-these stages; they are re-exported here for convenience.
+``certify_lanewidth_graph``) live in :mod:`repro.core` and run the same
+plans through :class:`PlanRunner`; they are re-exported here for
+convenience.
 """
 
 from repro.api.artifacts import ArtifactCache, ArtifactEntry
@@ -54,7 +55,6 @@ from repro.api.pipeline import (
     DEFAULT_EXACT_DECOMPOSITION_LIMIT,
     PROPERTY_STAGES,
     STRUCTURAL_STAGES,
-    CertificationPipeline,
     CompletionStage,
     DecomposeStage,
     EvaluateStage,
@@ -63,10 +63,7 @@ from repro.api.pipeline import (
     LaneStage,
     MatchSequenceStage,
     PipelineContext,
-    PipelineScheme,
     Stage,
-    lanewidth_stages,
-    theorem1_stages,
 )
 from repro.api.audit import (
     AdversarialInstance,
@@ -146,9 +143,7 @@ __all__ = [
     "EdgeAdditionAttack",
     "derive_seed",
     "derive_rng",
-    "CertificationPipeline",
     "PipelineContext",
-    "PipelineScheme",
     "Stage",
     "DecomposeStage",
     "LaneStage",
@@ -157,8 +152,6 @@ __all__ = [
     "HierarchyStage",
     "EvaluateStage",
     "LabelStage",
-    "theorem1_stages",
-    "lanewidth_stages",
     "DEFAULT_EXACT_DECOMPOSITION_LIMIT",
     "STRUCTURAL_STAGES",
     "PROPERTY_STAGES",

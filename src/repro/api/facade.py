@@ -14,7 +14,9 @@ shared.
 
 The legacy entry points (``Theorem1Scheme``, ``LanewidthScheme``,
 ``certify_lanewidth_graph``) are re-exported here; they are thin shims
-whose provers delegate to the same pipeline stages.
+whose provers run the same plans through the same
+:class:`~repro.api.plan.PlanRunner`, and sessions hand them out as
+``report.scheme``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-# Back-compat shims: same objects as repro.core, pipeline-backed.
+# Back-compat shims: same objects as repro.core, plan-backed.
 from repro.core.scheme import (  # noqa: F401  (re-exported)
     LanewidthScheme,
     Theorem1Scheme,
@@ -41,7 +43,6 @@ def certify(
     rng: Optional[random.Random] = None,
     decomposer: Optional[Callable] = None,
     exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
     exact_budget_ms: Optional[float] = None,
     session: Optional[CertificationSession] = None,
     verify: bool = True,
@@ -71,9 +72,6 @@ def certify(
     exact_limit:
         Exact-decomposition cutoff for the default decomposer (see
         :class:`repro.api.pipeline.DecomposeStage`).
-    exact_engine:
-        Exact decomposition engine — ``"bnb"`` (branch-and-bound,
-        default) or ``"dp"`` (legacy subset DP).
     exact_budget_ms:
         Wall-clock budget authorizing exact branch-and-bound attempts on
         graphs above ``exact_limit``; a timeout falls back to the best
@@ -114,7 +112,6 @@ def certify(
             k=k,
             decomposer=decomposer,
             exact_limit=exact_limit,
-            exact_engine=exact_engine,
             exact_budget_ms=exact_budget_ms,
             rng=rng,
             engine=engine,
@@ -129,7 +126,6 @@ def certify(
             ("k", k),
             ("decomposer", decomposer),
             ("exact_limit", exact_limit),
-            ("exact_engine", exact_engine),
             ("exact_budget_ms", exact_budget_ms),
             ("engine", engine),
             ("store", store),

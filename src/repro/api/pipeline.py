@@ -1,31 +1,27 @@
-"""The staged certification pipeline.
+"""The certification stages.
 
 Theorem 1's prover factors into reusable structural stages (path
 decomposition → lane partition → completion → construction sequence →
 hierarchy) followed by property-specific stages (algebra evaluation →
-certificate labels).  This module makes each stage an explicit, swappable
-object operating on a shared :class:`PipelineContext`, with a
-:class:`CertificationPipeline` runner that records per-stage wall-clock
-timings and run counts.
+certificate labels).  This module makes each stage an explicit object
+operating on a shared :class:`PipelineContext` and declaring its
+dataflow; :mod:`repro.api.plan` wires them into the two proving modes
+(:func:`~repro.api.plan.theorem1_plan`, where :class:`DecomposeStage`,
+:class:`LaneStage` and :class:`CompletionStage` form the Section 4
+front end, and :func:`~repro.api.plan.lanewidth_plan`, where a
+:class:`MatchSequenceStage` replaces it) and its
+:class:`~repro.api.plan.PlanRunner` is the one runner.
 
 The split is what enables batch multi-property proving: the structural
 stages depend only on the graph, so a :class:`repro.api.CertificationSession`
 runs them once and replays :class:`EvaluateStage`/:class:`LabelStage`
 per property (Bousquet–Feuilloley–Pierron's decomposition/evaluation
 separation, made operational).
-
-Two stage lists cover the two proving modes:
-
-* :func:`theorem1_stages` — the full Section 4→6 pipeline for a graph
-  with a pathwidth bound ``k``;
-* :func:`lanewidth_stages` — native lanewidth constructions, where a
-  :class:`MatchSequenceStage` replaces the Section 4 front end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from time import perf_counter
 from typing import Callable, Optional
 
 from repro.core.certificates import CertificateBuilder
@@ -43,33 +39,25 @@ from repro.core.lanewidth import (
     apply_construction,
     construction_sequence_from_completion,
 )
-from repro.core.scheme import CertifyingScheme
 from repro.courcelle.algebra import AlgebraCapacityError
 from repro.courcelle.registry import resolve_algebra
 from repro.pathwidth.branch_and_bound import (
     branch_and_bound_decomposition,
     ordering_from_decomposition,
 )
-from repro.pathwidth.exact import exact_path_decomposition
 from repro.pathwidth.heuristics import heuristic_path_decomposition
 from repro.pls.bits import ClassIndexer, SizeContext
 from repro.pls.model import Configuration
 from repro.pls.scheme import Labeling, ProverFailure
 
-from repro.api.results import StageTiming
-
 #: Default instance-size cutoff below which :class:`DecomposeStage`
-#: always runs an exact engine to completion.  Above it, exact search
-#: only happens when an ``exact_budget_ms`` deadline authorizes a
-#: budgeted branch-and-bound attempt.  Overridable per stage
+#: always runs the branch-and-bound to completion.  Above it, exact
+#: search only happens when an ``exact_budget_ms`` deadline authorizes
+#: a budgeted attempt.  Overridable per stage
 #: (``DecomposeStage(exact_limit=...)``), per scheme
 #: (``Theorem1Scheme(..., exact_limit=...)``), and through the
 #: facade/session ``exact_limit`` keyword.
 DEFAULT_EXACT_DECOMPOSITION_LIMIT = 14
-
-#: Default exact decomposition engine: the branch-and-bound vertex
-#: separation search (``"bnb"``); ``"dp"`` selects the legacy subset DP.
-DEFAULT_EXACT_ENGINE = "bnb"
 
 #: Stage names whose artifacts depend only on the graph (memoizable).
 STRUCTURAL_STAGES = ("decompose", "lanes", "completion", "match", "hierarchy")
@@ -182,22 +170,18 @@ class DecomposeStage(Stage):
         Optional override ``graph -> PathDecomposition`` (generators that
         already know a witness pass it here and skip the search).
     exact_limit:
-        Instances with ``n <= exact_limit`` always get a *complete* exact
-        search.  Larger ones get a budgeted branch-and-bound attempt when
-        ``exact_budget_ms`` is set, and the heuristic portfolio
+        Instances with ``n <= exact_limit`` always get a *complete*
+        branch-and-bound search.  Larger ones get a budgeted attempt
+        when ``exact_budget_ms`` is set, and the heuristic portfolio
         otherwise.  ``None`` means
         :data:`DEFAULT_EXACT_DECOMPOSITION_LIMIT`.
-    exact_engine:
-        ``"bnb"`` (default) — the branch-and-bound vertex-separation
-        search, no intrinsic size cap; ``"dp"`` — the legacy O(2^n)
-        subset DP, still hard-gated at ``exact_limit``.
     exact_budget_ms:
-        Wall-clock budget for exact search above ``exact_limit``
-        (``"bnb"`` only).  The search is seeded with the heuristic
-        incumbent, so a timeout falls back to an ordering at least as
-        good as the heuristic's, with the attempt recorded in the
-        ``decomposition_stats`` artifact.  ``None`` (default) disables
-        exact attempts above the limit.
+        Wall-clock budget for exact search above ``exact_limit``.  The
+        search is seeded with the heuristic incumbent, so a timeout
+        falls back to an ordering at least as good as the heuristic's,
+        with the attempt recorded in the ``decomposition_stats``
+        artifact.  ``None`` (default) disables exact attempts above the
+        limit.
     """
 
     name = "decompose"
@@ -209,7 +193,6 @@ class DecomposeStage(Stage):
         k: int,
         decomposer: Optional[Callable] = None,
         exact_limit: Optional[int] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
@@ -218,24 +201,16 @@ class DecomposeStage(Stage):
             exact_limit = DEFAULT_EXACT_DECOMPOSITION_LIMIT
         if exact_limit < 0:
             raise ValueError("exact_limit must be non-negative")
-        if exact_engine is None:
-            exact_engine = DEFAULT_EXACT_ENGINE
-        if exact_engine not in ("bnb", "dp"):
-            raise ValueError(
-                f"unknown exact_engine {exact_engine!r}; expected 'bnb' or 'dp'"
-            )
         if exact_budget_ms is not None and exact_budget_ms <= 0:
             raise ValueError("exact_budget_ms must be positive")
         self.k = k
         self.decomposer = decomposer
         self.exact_limit = exact_limit
-        self.exact_engine = exact_engine
         self.exact_budget_ms = exact_budget_ms
 
     def _engine_params(self):
         return (
             "k", self.k, "exact_limit", self.exact_limit,
-            "exact_engine", self.exact_engine,
             "exact_budget_ms", self.exact_budget_ms,
         )
 
@@ -257,7 +232,7 @@ class DecomposeStage(Stage):
         )
 
     def default_decomposer(self, graph):
-        """Return ``(decomposition, stats)`` for the configured engine.
+        """Return ``(decomposition, stats)`` from the default search.
 
         ``stats`` is a plain dict recording which engine produced the
         witness, the achieved vs heuristic width, and (for the
@@ -265,46 +240,26 @@ class DecomposeStage(Stage):
         plan cache as the ``decomposition_stats`` artifact and surfaces
         in :class:`~repro.api.results.CertificationReport`.
         """
-        if self.exact_engine == "dp":
-            if graph.n <= self.exact_limit:
-                decomposition = exact_path_decomposition(graph, engine="dp")
-                return decomposition, {
-                    "engine": "dp",
-                    "optimal": True,
-                    "width": decomposition.width(),
-                }
-            decomposition = heuristic_path_decomposition(graph)
-            return decomposition, {
-                "engine": "heuristic",
-                "optimal": False,
-                "width": decomposition.width(),
-                "heuristic_width": decomposition.width(),
-            }
-        # engine == "bnb": complete search below the size gate, budgeted
-        # attempt above it when authorized, heuristic otherwise.
-        if graph.n > self.exact_limit and self.exact_budget_ms is None:
-            decomposition = heuristic_path_decomposition(graph)
-            return decomposition, {
-                "engine": "heuristic",
-                "optimal": False,
-                "width": decomposition.width(),
-                "heuristic_width": decomposition.width(),
-            }
-        seed_ordering = None
-        heuristic_width = None
-        if graph.n > self.exact_limit:
+        if graph.n <= self.exact_limit:
+            # Complete search: no budget, so the answer is optimal.  The
+            # search seeds itself; its seed width is the heuristic width.
+            decomposition, result = branch_and_bound_decomposition(graph)
+            heuristic_width = result.stats.seed_width
+        else:
             seeded = heuristic_path_decomposition(graph)
             heuristic_width = seeded.width()
-            seed_ordering = ordering_from_decomposition(seeded)
-        decomposition, result = branch_and_bound_decomposition(
-            graph,
-            budget_ms=self.exact_budget_ms,
-            seed_ordering=seed_ordering,
-        )
-        if heuristic_width is None:
-            # Small instances skip the explicit portfolio run; the search
-            # seeds itself, and its seed width is the heuristic width.
-            heuristic_width = result.stats.seed_width
+            if self.exact_budget_ms is None:
+                return seeded, {
+                    "engine": "heuristic",
+                    "optimal": False,
+                    "width": heuristic_width,
+                    "heuristic_width": heuristic_width,
+                }
+            decomposition, result = branch_and_bound_decomposition(
+                graph,
+                budget_ms=self.exact_budget_ms,
+                seed_ordering=ordering_from_decomposition(seeded),
+            )
         stats = {
             "engine": "bnb",
             "optimal": result.optimal,
@@ -488,96 +443,3 @@ class LabelStage(Stage):
         size_ctx = SizeContext(ctx.config.n, class_count=indexer.class_count)
         ctx.class_count = indexer.class_count
         ctx.labeling = Labeling("edges", mapping, size_ctx)
-
-
-class CertificationPipeline:
-    """Run a stage list in order, recording timings and run counts.
-
-    ``counters`` (optional) is a mutable ``{stage name: runs}`` mapping —
-    sessions pass their cumulative counter so cache behavior is
-    observable from reports.
-    """
-
-    def __init__(self, stages):
-        self.stages = list(stages)
-
-    def stage_names(self) -> list:
-        return [stage.name for stage in self.stages]
-
-    def run(self, ctx: PipelineContext, counters: Optional[dict] = None) -> list:
-        """Execute every stage against ``ctx``; return this run's timings."""
-        timings = []
-        for stage in self.stages:
-            start = perf_counter()
-            try:
-                stage.run(ctx)
-            finally:
-                # Refusals count as runs too: a ProverFailure in
-                # EvaluateStage is a completed (negative) evaluation, and
-                # the counters must reflect every attempt.
-                timing = StageTiming(stage.name, perf_counter() - start)
-                timings.append(timing)
-                ctx.timings.append(timing)
-                if counters is not None:
-                    counters[stage.name] = counters.get(stage.name, 0) + 1
-        return timings
-
-
-class PipelineScheme(CertifyingScheme):
-    """A :class:`ProofLabelingScheme` wired to an explicit stage list.
-
-    The verifier half is inherited (and identical to the legacy
-    schemes'); ``prove`` simply runs the stages.  Sessions hand these
-    out inside reports so legacy helpers (``run_verification``,
-    adversarial label attacks) keep working against pipeline output.
-    """
-
-    def __init__(self, algebra, max_width: int, stages=()):
-        super().__init__(algebra, max_width)
-        self.stages = tuple(stages)
-
-    def prove(self, config: Configuration) -> Labeling:
-        ctx = PipelineContext(config=config, algebra=self.algebra)
-        CertificationPipeline(self.stages).run(ctx)
-        if ctx.labeling is None:
-            raise ProverFailure("stage list produced no labeling")
-        return ctx.labeling
-
-
-def theorem1_stages(
-    k: int,
-    algebra=None,
-    decomposer: Optional[Callable] = None,
-    exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
-    exact_budget_ms: Optional[float] = None,
-) -> list:
-    """The full Theorem 1 stage list for pathwidth-bounded certification."""
-    return [
-        DecomposeStage(
-            k,
-            decomposer=decomposer,
-            exact_limit=exact_limit,
-            exact_engine=exact_engine,
-            exact_budget_ms=exact_budget_ms,
-        ),
-        LaneStage(),
-        CompletionStage(),
-        HierarchyStage(),
-        EvaluateStage(algebra),
-        LabelStage(),
-    ]
-
-
-def lanewidth_stages(
-    sequence: ConstructionSequence,
-    algebra=None,
-    match_stage: Optional[MatchSequenceStage] = None,
-) -> list:
-    """The native-lanewidth stage list (no Section 4 front end)."""
-    return [
-        match_stage or MatchSequenceStage(sequence),
-        HierarchyStage(),
-        EvaluateStage(algebra),
-        LabelStage(),
-    ]

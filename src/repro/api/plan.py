@@ -1,29 +1,27 @@
-"""Plan-based proving: the pipeline as a content-addressed artifact DAG.
+"""Plan-based proving: the stages as a content-addressed artifact DAG.
 
-The staged pipeline (:mod:`repro.api.pipeline`) runs its stages as a
-rigid linear list; this module makes the *dataflow* explicit.  A
-:class:`CertificationPlan` is a DAG of :class:`PlanNode` objects — each
-wraps one stage and declares which context fields it consumes and
-produces — and every produced artifact gets a **content fingerprint**:
+A :class:`CertificationPlan` is a DAG of :class:`PlanNode` objects, each
+wrapping one stage of :mod:`repro.api.pipeline` together with the
+context fields it consumes and produces, and every produced artifact
+gets a **content fingerprint**:
 
     node key = H(plan version, stage name, stage params,
                  keys of the input artifacts)
 
 rooted in the *source* keys (the graph fingerprint, the configuration
 fingerprint, the algebra key).  Equal keys mean equal artifacts, so the
-:class:`PlanRunner` executes nodes in topological order and simply
-*skips* any node whose key is already resolved in an
-:class:`~repro.api.artifacts.ArtifactCache` — the paper's structure made
-operational: one path decomposition / lane partition / completion /
-hierarchy per graph feeds arbitrarily many per-property evaluations
-(Bousquet–Feuilloley–Pierron's "certify a property family over one
-decomposition"), across properties, sessions, *and processes* when the
-cache has a disk layer.
+:class:`PlanRunner` — the one code path that runs stages — executes
+nodes in topological order and simply *skips* any node whose key is
+already resolved in an :class:`~repro.api.artifacts.ArtifactCache`.
+This is the paper's structure made operational: one path decomposition
+/ lane partition / completion / hierarchy per graph feeds arbitrarily
+many per-property evaluations (Bousquet–Feuilloley–Pierron's "certify a
+property family over one decomposition"), across properties, sessions,
+*and processes* when the cache has a disk layer.
 
 Skipped nodes do not touch the stage counters (counters stay truthful:
 they count stages that actually ran) and contribute their originally
-recorded wall-clock as ``cached`` :class:`StageTiming` entries, exactly
-like the session's old in-memory memoization did.
+recorded wall-clock as ``cached`` :class:`StageTiming` entries.
 """
 
 from __future__ import annotations
@@ -58,19 +56,14 @@ class PlanError(ValueError):
 
 
 class PlanNode:
-    """One DAG node: a stage plus its declared inputs and outputs.
+    """One DAG node: a stage plus its declared inputs and outputs
+    (:attr:`Stage.inputs` / :attr:`Stage.outputs`)."""
 
-    The declarations default to the stage's own (:attr:`Stage.inputs` /
-    :attr:`Stage.outputs`) and can be overridden per node when a plan
-    wires a stage differently from its class-level contract.
-    """
-
-    def __init__(self, stage, inputs: Optional[tuple] = None,
-                 outputs: Optional[tuple] = None):
+    def __init__(self, stage):
         self.stage = stage
         self.name = stage.name
-        self.inputs = tuple(inputs if inputs is not None else stage.inputs)
-        self.outputs = tuple(outputs if outputs is not None else stage.outputs)
+        self.inputs = tuple(stage.inputs)
+        self.outputs = tuple(stage.outputs)
         if not self.outputs:
             raise PlanError(f"plan node {self.name!r} declares no outputs")
 
@@ -258,8 +251,8 @@ class PlanRunner:
             try:
                 node.stage.run(ctx)
             except ProverFailure as failure:
-                # Refusals count as runs (same contract as the linear
-                # pipeline): the attempt happened and must be observable.
+                # Refusals count as runs: the attempt happened and must
+                # be observable.
                 timing = StageTiming(node.name, perf_counter() - start)
                 run.timings.append(timing)
                 ctx.timings.append(timing)
@@ -295,7 +288,6 @@ def theorem1_plan(
     algebra=None,
     decomposer=None,
     exact_limit: Optional[int] = None,
-    exact_engine: Optional[str] = None,
     exact_budget_ms: Optional[float] = None,
 ) -> CertificationPlan:
     """The full Theorem 1 stage DAG for pathwidth-bounded certification."""
@@ -305,7 +297,6 @@ def theorem1_plan(
                 k,
                 decomposer=decomposer,
                 exact_limit=exact_limit,
-                exact_engine=exact_engine,
                 exact_budget_ms=exact_budget_ms,
             ),
             LaneStage(),

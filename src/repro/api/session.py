@@ -23,6 +23,12 @@ report's ``max/mean/total_label_bits`` are measured byte-string sizes;
 the encoded form rides along with the labeling artifact, and — when the
 session carries a store — is persisted for later re-verification with
 zero prover stages.
+
+Each report's ``scheme`` is the matching :mod:`repro.core` shim
+(:class:`~repro.core.scheme.Theorem1Scheme` or
+:class:`~repro.core.scheme.LanewidthScheme`) under the session's
+settings: the verifier half for the round, and a ``prove`` that replays
+the same plan through a :class:`~repro.api.plan.PlanRunner`.
 """
 
 from __future__ import annotations
@@ -34,19 +40,14 @@ from typing import Callable, Optional
 
 from repro.codec import encode_labeling_columnar, stamp_wire_digest
 from repro.core.lanewidth import ConstructionSequence, apply_construction
+from repro.core.scheme import LanewidthScheme, Theorem1Scheme
 from repro.courcelle.algebra import BoundedAlgebra
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
 from repro.pls.scheme import ProverFailure
 
 from repro.api.artifacts import ArtifactCache
-from repro.api.pipeline import (
-    MatchSequenceStage,
-    PipelineContext,
-    PipelineScheme,
-    lanewidth_stages,
-    theorem1_stages,
-)
+from repro.api.pipeline import MatchSequenceStage, PipelineContext
 from repro.api.plan import (
     CertificationPlan,
     NodeKey,
@@ -89,11 +90,10 @@ class CertificationSession:
         Pathwidth bound used when certifying :class:`Graph` /
         :class:`Configuration` targets (Theorem 1 mode).  Sequence
         targets carry their own width and ignore ``k``.
-    decomposer, exact_limit, exact_engine, exact_budget_ms:
+    decomposer, exact_limit, exact_budget_ms:
         Forwarded to :class:`repro.api.pipeline.DecomposeStage` —
-        ``exact_engine`` picks ``"bnb"`` (branch-and-bound, default) or
-        ``"dp"`` (legacy subset DP), ``exact_budget_ms`` authorizes a
-        budgeted exact attempt above ``exact_limit``.
+        ``exact_budget_ms`` authorizes a budgeted branch-and-bound
+        attempt above ``exact_limit``.
     rng:
         Source of vertex identifiers for bare-graph targets.
     engine:
@@ -119,13 +119,11 @@ class CertificationSession:
         engine: Optional[VerificationEngine] = None,
         store=None,
         artifacts: Optional[ArtifactCache] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         self.k = k
         self.decomposer = decomposer
         self.exact_limit = exact_limit
-        self.exact_engine = exact_engine
         self.exact_budget_ms = exact_budget_ms
         self.rng = rng or random.Random()
         self.engine = engine
@@ -355,7 +353,6 @@ class CertificationSession:
             self.k,
             decomposer=self.decomposer,
             exact_limit=self.exact_limit,
-            exact_engine=self.exact_engine,
             exact_budget_ms=self.exact_budget_ms,
         )
 
@@ -376,7 +373,6 @@ class CertificationSession:
                 self.k,
                 self.decomposer,
                 self.exact_limit,
-                self.exact_engine,
                 self.exact_budget_ms,
                 fingerprint,
             )
@@ -403,23 +399,19 @@ class CertificationSession:
         )
 
     def _scheme_for(self, structure, algebra):
-        """A verifier-half scheme whose ``prove`` replays the full pipeline."""
+        """The report's scheme: the verifier half, plus a ``prove`` that
+        replays the full plan under this session's settings."""
         if structure.sequence is not None:
-            stages = lanewidth_stages(
-                structure.sequence,
-                algebra=algebra,
-                match_stage=structure.match_stage,
+            return LanewidthScheme(
+                algebra, structure.sequence, match_stage=structure.match_stage
             )
-        else:
-            stages = theorem1_stages(
-                self.k,
-                algebra=algebra,
-                decomposer=self.decomposer,
-                exact_limit=self.exact_limit,
-                exact_engine=self.exact_engine,
-                exact_budget_ms=self.exact_budget_ms,
-            )
-        return PipelineScheme(algebra, structure.ctx.max_width, stages)
+        return Theorem1Scheme(
+            algebra,
+            self.k,
+            decomposer=self.decomposer,
+            exact_limit=self.exact_limit,
+            exact_budget_ms=self.exact_budget_ms,
+        )
 
     # ------------------------------------------------------------------
     def _property_keys(self, structure, algebra) -> dict:

@@ -30,10 +30,7 @@ Layout (v2, service-grade)
 Entries live in **fingerprint-prefix shards**: ``<root>/<fp[:2]>/<fp
 prefix>-<property slug>.cert``.  256 shards keep directory listings
 short under millions of entries and let concurrent writers touch
-disjoint directories.  The original flat layout (every entry directly
-under ``<root>``) is still read — a flat entry found by :meth:`load` is
-atomically migrated into its shard — so stores written before the shard
-layout keep working (see ``docs/FORMAT.md`` § "Sharded store layout").
+disjoint directories (see ``docs/FORMAT.md`` § "Sharded store layout").
 
 Concurrent-writer safety: :meth:`save` writes to a uniquely named temp
 file in the destination shard and publishes it with :func:`os.replace`,
@@ -70,13 +67,12 @@ from repro.codec import (
     encode_labeling_columnar,
     stamp_wire_digest,
 )
+from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
 
 #: File magic + envelope version; bumped when the manifest layout changes
 #: (the label payload format is versioned separately by WIRE_VERSION).
-#: The *directory* layout (flat vs sharded) is not part of the envelope:
-#: v1 envelopes read identically from either location.
 STORE_MAGIC = b"repro-cert\x00"
 STORE_VERSION = 1
 
@@ -102,9 +98,8 @@ class StoreMetrics:
     (a miss is a lookup of an absent entry; corruption raises *and*
     counts as a miss — the entry is unusable either way), ``saves``
     successful publishes, ``evictions``/``bytes_evicted`` what
-    :meth:`~CertificateStore.compact` removed, ``orphans_cleaned``
-    stale temp files removed, and ``migrated`` flat-layout entries
-    moved into their shard.  The incremental layer
+    :meth:`~CertificateStore.compact` removed, and ``orphans_cleaned``
+    stale temp files removed.  The incremental layer
     (:mod:`repro.incremental`) records its reuse against the store that
     backs it — :data:`INCREMENTAL_FIELDS`: ``updates`` edit batches
     applied, ``bags_dirtied`` by their decomposition repairs,
@@ -128,7 +123,6 @@ class StoreMetrics:
         "evictions",
         "bytes_evicted",
         "orphans_cleaned",
-        "migrated",
     ) + INCREMENTAL_FIELDS
 
     def __init__(self):
@@ -221,7 +215,7 @@ class CertificateStore:
         return self._artifact_cache
 
     # ------------------------------------------------------------------
-    # Layout: shards, legacy flat paths, migration.
+    # Layout: shards.
     # ------------------------------------------------------------------
     def shard_for(self, fingerprint: str) -> Path:
         """The shard directory owning ``fingerprint``."""
@@ -236,66 +230,11 @@ class CertificateStore:
             fingerprint, property_key
         )
 
-    def flat_path_for(self, fingerprint: str, property_key: str) -> Path:
-        """The pre-shard (flat) path the v1 layout used for this entry."""
-        return self.root / self._entry_name(fingerprint, property_key)
-
-    def _locate(self, fingerprint: str, property_key: str) -> Path:
-        """Resolve the entry path, migrating a flat-layout entry.
-
-        Prefers the sharded path; a legacy flat entry is moved into its
-        shard with :func:`os.replace` (racing migrators are harmless —
-        the loser's replace finds the source gone and simply retargets
-        the shard path).  Returns the sharded path whether or not
-        anything exists there, so callers get one canonical location.
-        """
-        sharded = self.path_for(fingerprint, property_key)
-        if sharded.exists():
-            return sharded
-        flat = self.flat_path_for(fingerprint, property_key)
-        if flat.exists():
-            try:
-                sharded.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(flat, sharded)
-                self.metrics.add("migrated")
-            except OSError:
-                # Lost the migration race (or read-only media): whoever
-                # won left the entry at the shard path; fall through.
-                pass
-        return sharded
-
-    def migrate_flat(self) -> int:
-        """Move every flat-layout entry into its shard; return the count.
-
-        Idempotent and concurrent-safe (each move is an
-        :func:`os.replace`).  :meth:`load` migrates lazily on access;
-        this walks the whole root for stores that want the layout
-        settled in one pass.
-        """
-        moved = 0
-        for path in sorted(self.root.glob(f"*{self.suffix}")):
-            try:
-                manifest = self._read(path)
-            except StoreError:
-                continue  # unreadable flat entry: leave it for forensics
-            target = self.path_for(
-                manifest["fingerprint"], manifest["property_key"]
-            )
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-            except OSError:
-                continue
-            moved += 1
-        if moved:
-            self.metrics.add("migrated", moved)
-        return moved
-
     def _entry_paths(self) -> list:
-        """Every entry file, sharded and (legacy) flat, sorted."""
+        """Every entry file, sorted."""
         if not self.root.is_dir():
             return []
-        paths = list(self.root.glob(f"*{self.suffix}"))
+        paths = []
         for shard in self.root.iterdir():
             if shard.is_dir() and _SHARD_RE.match(shard.name):
                 paths.extend(shard.glob(f"*{self.suffix}"))
@@ -306,10 +245,7 @@ class CertificateStore:
     # ------------------------------------------------------------------
     def __contains__(self, key) -> bool:
         fingerprint, property_key = key
-        return (
-            self.path_for(fingerprint, property_key).exists()
-            or self.flat_path_for(fingerprint, property_key).exists()
-        )
+        return self.path_for(fingerprint, property_key).exists()
 
     def __len__(self) -> int:
         return len(self._entry_paths())
@@ -323,7 +259,7 @@ class CertificateStore:
         return out
 
     def stats(self) -> dict:
-        """Layout accounting: entry count, bytes, shards, stragglers.
+        """Layout accounting: entry count, bytes, shards, temp orphans.
 
         Pure filesystem arithmetic (no envelope is parsed), so it is
         cheap enough for the service metrics snapshot.  Lifetime
@@ -332,23 +268,18 @@ class CertificateStore:
         paths = self._entry_paths()
         total = 0
         shards = set()
-        flat = 0
         for path in paths:
             try:
                 total += path.stat().st_size
             except OSError:
                 continue  # evicted/replaced underneath us mid-walk
-            if path.parent == self.root:
-                flat += 1
-            else:
-                shards.add(path.parent.name)
+            shards.add(path.parent.name)
         orphans = len(self._orphan_paths(max_age_seconds=None))
         snapshot = self.metrics.snapshot()
         return {
             "entries": len(paths),
             "bytes": total,
             "shards": len(shards),
-            "flat_entries": flat,
             "tmp_orphans": orphans,
             "byte_budget": self.byte_budget,
             # Edit-stream accounting (repro.incremental) rides along so
@@ -591,11 +522,10 @@ class CertificateStore:
         layer's ``verify: false`` certify requests); completeness makes
         that safe, and ``reverify`` replays the round on demand.
 
-        Flat-layout (pre-shard) entries are found and migrated into
-        their shard; serving an entry bumps its mtime, which is the
-        recency signal :meth:`compact` evicts against.
+        Serving an entry bumps its mtime, which is the recency signal
+        :meth:`compact` evicts against.
         """
-        path = path or self._locate(fingerprint, property_key)
+        path = path or self.path_for(fingerprint, property_key)
         try:
             manifest = self._read(path)
         except StoreError:
@@ -624,7 +554,6 @@ class CertificateStore:
 
     def _rehydrate(self, manifest: dict, path: Path, decode: bool = True):
         """Build the ready-to-verify report from a validated manifest."""
-        from repro.api.pipeline import PipelineScheme
         from repro.api.results import CertificationReport
 
         graph = manifest["graph"]
@@ -661,7 +590,7 @@ class CertificateStore:
         if algebra is None and manifest["algebra_key"] is not None:
             algebra = resolve_algebra(manifest["algebra_key"])
         config = Configuration(graph, manifest["ids"])
-        scheme = PipelineScheme(algebra, manifest["max_width"], ())
+        scheme = CertifyingScheme(algebra, manifest["max_width"])
         report = CertificationReport.from_dict(manifest["report"])
         report.config = config
         report.scheme = scheme

@@ -15,15 +15,17 @@ blow-up.  The construction sequence is supplied to the prover as a hint —
 the paper's prover has unlimited computation and could recover one; ours
 accepts the witness instead (documented substitution).
 
-Both provers are thin shims over the staged pipeline in
-:mod:`repro.api.pipeline` — ``prove`` assembles the matching stage list
-and runs it.  New code should prefer :func:`repro.api.certify` or a
+Both provers are thin shims over the plan layer in :mod:`repro.api.plan`
+— ``prove`` builds :func:`~repro.api.plan.theorem1_plan` or
+:func:`~repro.api.plan.lanewidth_plan` and runs it through a
+:class:`~repro.api.plan.PlanRunner` with a throwaway in-memory cache.
+New code should prefer :func:`repro.api.certify` or a
 :class:`repro.api.CertificationSession`, which additionally expose
 per-stage timings, structured reports, and cross-property reuse of the
 structural stages; these classes are kept as the stable entry points of
-the original API.  (The pipeline imports are deferred to call time:
-``repro.api`` depends on this module for the verifier half, so an eager
-import here would be circular.)
+the original API, and sessions hand them out inside reports.  (The plan
+imports are deferred to call time: ``repro.api`` depends on this module
+for the verifier half, so an eager import here would be circular.)
 
 Per the paper's remark after Theorem 1, the structural part certified is
 ``pw(G) ≤ w - 1`` where ``w`` is the certified lanewidth (≤ f(k+1) when
@@ -43,13 +45,7 @@ from repro.core.verifier import verify_theorem1
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.bits import SizeContext
 from repro.pls.model import Configuration
-from repro.pls.scheme import Labeling, ProofLabelingScheme
-
-# The former module-private ``_EXACT_DECOMPOSITION_LIMIT = 14`` cutoff is
-# now a documented, overridable parameter: see DecomposeStage(exact_limit=...)
-# in repro.api.pipeline (DEFAULT_EXACT_DECOMPOSITION_LIMIT) and the
-# ``exact_limit`` keyword threaded through Theorem1Scheme, the session,
-# and the facade.
+from repro.pls.scheme import Labeling, ProofLabelingScheme, ProverFailure
 
 
 class CertifyingScheme(ProofLabelingScheme):
@@ -57,7 +53,9 @@ class CertifyingScheme(ProofLabelingScheme):
 
     Subclasses supply ``prove``; the verifier and the bit accounting are
     property-independent, which is what lets a session swap algebras
-    without touching the structural artifacts.
+    without touching the structural artifacts.  A bare instance is
+    verifier-only (what a stored certificate rehydrates to): its
+    ``prove`` refuses.
     """
 
     label_location = "edges"
@@ -65,6 +63,9 @@ class CertifyingScheme(ProofLabelingScheme):
     def __init__(self, algebra, max_width: int):
         self.algebra = resolve_algebra(algebra)
         self.max_width = max_width
+
+    def prove(self, config: Configuration) -> Labeling:
+        raise ProverFailure("verifier-only scheme: no prover attached")
 
     def verify(self, view) -> bool:
         return verify_theorem1(view, self.algebra, self.max_width)
@@ -89,19 +90,32 @@ class CertifyingScheme(ProofLabelingScheme):
         return state
 
 
-# Historical (pre-pipeline) name, kept for external subclasses.
-_CertifyingScheme = CertifyingScheme
+def _prove_plan(plan, config: Configuration, algebra) -> Labeling:
+    """Run ``plan`` once through a throwaway in-memory artifact cache."""
+    from repro.api.pipeline import PipelineContext
+    from repro.api.plan import (
+        PlanRunner,
+        algebra_source_key,
+        config_fingerprint,
+    )
+
+    ctx = PipelineContext(config=config, algebra=algebra)
+    source_keys = {
+        "graph": config.graph.fingerprint("edges"),
+        "config": config_fingerprint(config),
+        "algebra": algebra_source_key(algebra)[0],
+    }
+    PlanRunner().run(plan, ctx, source_keys)
+    return ctx.labeling
 
 
 class Theorem1Scheme(CertifyingScheme):
     """Certify ``φ ∧ (pathwidth ≤ k)`` with O(log n)-bit edge labels.
 
     ``exact_limit`` bounds the instance size up to which the default
-    decomposer runs a complete exact search (default:
+    decomposer runs a complete branch-and-bound search (default:
     ``repro.api.pipeline.DEFAULT_EXACT_DECOMPOSITION_LIMIT``);
-    ``exact_engine`` picks the engine (``"bnb"`` branch-and-bound by
-    default, ``"dp"`` the legacy subset DP) and ``exact_budget_ms``
-    authorizes a budgeted branch-and-bound attempt above the limit.
+    ``exact_budget_ms`` authorizes a budgeted attempt above the limit.
     """
 
     def __init__(
@@ -110,7 +124,6 @@ class Theorem1Scheme(CertifyingScheme):
         k: int,
         decomposer: Optional[Callable] = None,
         exact_limit: Optional[int] = None,
-        exact_engine: Optional[str] = None,
         exact_budget_ms: Optional[float] = None,
     ):
         if k < 1:
@@ -119,58 +132,47 @@ class Theorem1Scheme(CertifyingScheme):
         self.k = k
         self.decomposer = decomposer
         self.exact_limit = exact_limit
-        self.exact_engine = exact_engine
         self.exact_budget_ms = exact_budget_ms
 
     def prove(self, config: Configuration) -> Labeling:
-        from repro.api.pipeline import (
-            CertificationPipeline,
-            PipelineContext,
-            theorem1_stages,
-        )
+        from repro.api.plan import theorem1_plan
 
-        ctx = PipelineContext(config=config, algebra=self.algebra)
-        stages = theorem1_stages(
+        plan = theorem1_plan(
             self.k,
             algebra=self.algebra,
             decomposer=self.decomposer,
             exact_limit=self.exact_limit,
-            exact_engine=self.exact_engine,
             exact_budget_ms=self.exact_budget_ms,
         )
-        CertificationPipeline(stages).run(ctx)
-        return ctx.labeling
+        return _prove_plan(plan, config, self.algebra)
 
 
 class LanewidthScheme(CertifyingScheme):
     """Certify ``φ`` on a graph given its lanewidth construction.
 
     The expected graph of ``sequence`` is replayed once and remembered as
-    a fingerprint; repeated ``prove`` calls compare configurations by
-    hash instead of rebuilding the graph and its edge/vertex sets.
+    a fingerprint on :attr:`match_stage`; repeated ``prove`` calls compare
+    configurations by hash instead of rebuilding the graph and its
+    edge/vertex sets.  A session passes its own memoized ``match_stage``
+    so every report scheme over one sequence shares it.
     """
 
-    def __init__(self, algebra, sequence: ConstructionSequence):
+    def __init__(self, algebra, sequence: ConstructionSequence,
+                 match_stage=None):
         super().__init__(algebra, max_width=sequence.width)
         self.sequence = sequence
-        self._match_stage = None  # carries the cached expected fingerprint
+        self.match_stage = match_stage
 
     def prove(self, config: Configuration) -> Labeling:
-        from repro.api.pipeline import (
-            CertificationPipeline,
-            MatchSequenceStage,
-            PipelineContext,
-            lanewidth_stages,
-        )
+        from repro.api.pipeline import MatchSequenceStage
+        from repro.api.plan import lanewidth_plan
 
-        if self._match_stage is None:
-            self._match_stage = MatchSequenceStage(self.sequence)
-        ctx = PipelineContext(config=config, algebra=self.algebra)
-        stages = lanewidth_stages(
-            self.sequence, algebra=self.algebra, match_stage=self._match_stage
+        if self.match_stage is None:
+            self.match_stage = MatchSequenceStage(self.sequence)
+        plan = lanewidth_plan(
+            self.sequence, algebra=self.algebra, match_stage=self.match_stage
         )
-        CertificationPipeline(stages).run(ctx)
-        return ctx.labeling
+        return _prove_plan(plan, config, self.algebra)
 
 
 def certify_lanewidth_graph(

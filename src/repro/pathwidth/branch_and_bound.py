@@ -391,7 +391,13 @@ def branch_and_bound_ordering(
             local_masks, local_seed, local_width, lower, deadline, stats,
             memo_limit,
         )
-        if deadline is not None and time.perf_counter() > deadline:
+        # An incumbent already at the lower bound is proven optimal, so
+        # an expired clock cannot make it "not optimal".
+        if (
+            local_width > lower
+            and deadline is not None
+            and time.perf_counter() > deadline
+        ):
             stats.timed_out = True
             optimal = False
         else:

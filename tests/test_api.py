@@ -13,7 +13,6 @@ import pytest
 
 import repro.api.pipeline as pipeline_module
 from repro.api import (
-    CertificationPipeline,
     CertificationReport,
     CertificationSession,
     DecomposeStage,
@@ -21,9 +20,11 @@ from repro.api import (
     LabelStage,
     MatchSequenceStage,
     PipelineContext,
+    PlanRunner,
     certify,
-    theorem1_stages,
+    theorem1_plan,
 )
+from repro.api.plan import config_fingerprint
 from repro.core import (
     LanewidthScheme,
     Theorem1Scheme,
@@ -273,11 +274,22 @@ class TestDecomposeStageParameters:
             Theorem1Scheme("connected", 0)
 
 
+def _run_theorem1_plan(ctx, counters=None):
+    source_keys = {
+        "graph": ctx.graph.fingerprint("edges"),
+        "config": config_fingerprint(ctx.config),
+        "algebra": ctx.algebra,
+    }
+    return PlanRunner(counters=counters).run(
+        theorem1_plan(2), ctx, source_keys
+    )
+
+
 class TestPipelineDirectly:
     def test_theorem1_stage_list_produces_labeling(self):
         config = Configuration.with_random_ids(cycle_graph(8), random.Random(10))
         ctx = PipelineContext(config=config, algebra="connected")
-        timings = CertificationPipeline(theorem1_stages(2)).run(ctx)
+        timings = _run_theorem1_plan(ctx).timings
         assert ctx.labeling is not None
         assert [t.name for t in timings] == [
             "decompose",
@@ -301,7 +313,7 @@ class TestPipelineDirectly:
         config = Configuration.with_random_ids(cycle_graph(7), random.Random(2))
         ctx = PipelineContext(config=config, algebra="bipartite")
         with pytest.raises(ProverFailure):
-            CertificationPipeline(theorem1_stages(2)).run(ctx, counters=counters)
+            _run_theorem1_plan(ctx, counters=counters)
         assert counters["evaluate"] == 1  # the refusing stage still counts
         assert "label" not in counters  # downstream stages never ran
 
@@ -387,12 +399,8 @@ class TestBatchKeyAndArgumentHandling:
         session = CertificationSession(rng=random.Random(51))
         seq = random_lanewidth_sequence(2, 8, random.Random(13))
         reports = session.certify(seq, ["connected", "even-order"])
-        stages = [
-            s
-            for r in reports.values()
-            for s in r.scheme.stages
-            if isinstance(s, MatchSequenceStage)
-        ]
+        stages = [r.scheme.match_stage for r in reports.values()]
+        assert all(isinstance(s, MatchSequenceStage) for s in stages)
         assert len(stages) == 2
         # Same memoized matcher everywhere: replaying report.scheme.prove
         # compares fingerprints instead of rebuilding the graph.

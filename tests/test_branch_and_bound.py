@@ -9,7 +9,7 @@ Three layers of assurance for the new default exact engine:
   constructors (which re-check the structural invariants);
 * **regression corpus** — graph families with known pathwidth, sized
   well past the old ``_EXACT_LIMIT`` wall, must come back optimal;
-* **knob threading** — ``exact_engine`` / ``exact_budget_ms`` reach the
+* **knob threading** — ``exact_limit`` / ``exact_budget_ms`` reach the
   decompose stage through the facade/session, and the run's
   ``decomposition_stats`` survive the report round-trip and feed the
   service metrics.
@@ -133,6 +133,20 @@ class TestBudget:
         if not result.optimal:
             assert result.stats.timed_out
 
+    @pytest.mark.parametrize(
+        "graph, expected", [(path_graph(40), 1), (cycle_graph(30), 2)]
+    )
+    def test_incumbent_at_lower_bound_is_optimal_past_deadline(
+        self, graph, expected
+    ):
+        # The seed already meets the lower bound: optimality is proven
+        # without expanding a node, whatever the clock says.
+        result = branch_and_bound_ordering(graph, budget_ms=1e-6)
+        assert result.width == result.stats.lower_bound == expected
+        assert result.optimal
+        assert not result.stats.timed_out
+        assert exact_pathwidth(graph, budget_ms=1e-6) == expected
+
     def test_stats_to_dict_keys(self):
         g = grid_graph(3, 5)
         result = branch_and_bound_ordering(g)
@@ -168,10 +182,17 @@ class TestKnobThreading:
         assert stats["width"] == 1
         assert "bnb width 1" in report.summary()
 
-    def test_dp_engine_still_selectable(self):
-        g = path_graph(10)
-        report = certify(g, "connected", k=2, verify=False, exact_engine="dp")
-        assert report.decomposition_stats["engine"] == "dp"
+    def test_small_host_search_is_complete_under_any_budget(self):
+        # n <= exact_limit gets the complete search the docs promise; a
+        # budget only governs hosts above the limit.
+        g, _bags = random_pathwidth_graph(14, 3, rng=random.Random(3))
+        report = certify(
+            g, "connected", k=3, verify=False, exact_budget_ms=1e-6
+        )
+        stats = report.decomposition_stats
+        assert stats["engine"] == "bnb"
+        assert stats["optimal"] is True
+        assert stats["timed_out"] is False
 
     def test_large_graph_defaults_to_heuristic(self):
         g, _bags = random_pathwidth_graph(40, 3, rng=random.Random(2))

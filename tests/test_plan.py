@@ -2,10 +2,10 @@
 
 The acceptance contract of the plan refactor:
 
-* **plan ≡ legacy pipeline** — a hypothesis suite asserts the plan-based
-  session produces reports identical to the legacy linear stage list
-  (verdict, measured encoded bits, class counts) on random lanewidth
-  hosts and random pathwidth graphs;
+* **plan ≡ linear oracle** — a hypothesis suite asserts the plan-based
+  session produces reports identical to running the plan's stages as a
+  plain loop with no cache (verdict, measured encoded bits, class
+  counts) on random lanewidth hosts and random pathwidth graphs;
 * **warm cache runs zero structural nodes** — stage-counter assertions
   in-session, across sessions sharing a cache, and from a **fresh
   interpreter** over a disk-backed cache;
@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.api import (
     ArtifactCache,
     CertificateStore,
-    CertificationPipeline,
     CertificationPlan,
     CertificationSession,
     LabelStage,
@@ -36,11 +35,14 @@ from repro.api import (
     PlanRunner,
     lanewidth_plan,
     theorem1_plan,
-    theorem1_stages,
 )
-from repro.api.pipeline import lanewidth_stages
 from repro.codec import encode_labeling
-from repro.core import apply_construction, random_lanewidth_sequence
+from repro.core import (
+    LanewidthScheme,
+    Theorem1Scheme,
+    apply_construction,
+    random_lanewidth_sequence,
+)
 from repro.experiments import lanewidth_workload
 from repro.graphs.generators import random_pathwidth_graph
 from repro.pls.model import Configuration
@@ -52,13 +54,14 @@ STRUCTURAL_T1 = ("decompose", "lanes", "completion", "hierarchy")
 ZOO = ["connected", "acyclic", "bipartite", "even-order", "max-degree-2"]
 
 
-def _legacy_report_facts(config, stages, algebra_key):
-    """Run the legacy linear pipeline; return comparable facts."""
+def _oracle_report_facts(config, plan, algebra_key):
+    """Run the plan's stages as a plain loop; return comparable facts."""
     from repro.pls.scheme import ProverFailure
 
     ctx = PipelineContext(config=config, algebra=algebra_key)
     try:
-        CertificationPipeline(stages).run(ctx)
+        for node in plan.nodes:
+            node.stage.run(ctx)
     except ProverFailure as failure:
         return {"refused": True, "refusal": str(failure)}
     encoded = encode_labeling(ctx.labeling)
@@ -100,8 +103,8 @@ class TestPlanEquivalentToLegacyPipeline:
             rng=random.Random(seed + 1)
         ).certify(seq, ZOO, verify=False)
         for key in ZOO:
-            facts = _legacy_report_facts(
-                config, lanewidth_stages(seq, algebra=key), key
+            facts = _oracle_report_facts(
+                config, lanewidth_plan(seq, algebra=key), key
             )
             _assert_report_matches(session_reports[key], facts, key)
 
@@ -115,8 +118,8 @@ class TestPlanEquivalentToLegacyPipeline:
             k=2, rng=random.Random(seed + 1)
         ).certify(graph, ZOO, verify=False)
         for key in ZOO:
-            facts = _legacy_report_facts(
-                config, theorem1_stages(2, algebra=key), key
+            facts = _oracle_report_facts(
+                config, theorem1_plan(2, algebra=key), key
             )
             _assert_report_matches(reports[key], facts, key)
 
@@ -148,6 +151,35 @@ class TestPlanEquivalentToLegacyPipeline:
                 assert a.total_label_bits == b.total_label_bits, key
                 assert a.class_count == b.class_count, key
                 assert a.labeling.mapping == b.labeling.mapping, key
+
+
+class TestShimMatchesSession:
+    """The ``repro.core`` schemes run the same plans as a session."""
+
+    @pytest.mark.parametrize("key", ["connected", "even-order", "max-degree-5"])
+    def test_theorem1_scheme_matches_session(self, key):
+        graph, _bags = random_pathwidth_graph(12, 2, random.Random(71))
+        config = Configuration.with_random_ids(graph, random.Random(72))
+        report = CertificationSession(k=2).certify(config, key, verify=False)
+        assert not report.refused, report.refusal
+        mapping = Theorem1Scheme(key, 2).prove(config).mapping
+        assert mapping == report.labeling.mapping
+        assert report.scheme.prove(config).mapping == mapping
+
+    @pytest.mark.parametrize("key", ["connected", "even-order", "max-degree-5"])
+    def test_lanewidth_scheme_matches_session(self, key):
+        seq = random_lanewidth_sequence(2, 10, random.Random(73))
+        config = Configuration.with_random_ids(
+            apply_construction(seq), random.Random(74)
+        )
+        report = CertificationSession(rng=random.Random(74)).certify(
+            seq, key, verify=False
+        )
+        assert not report.refused, report.refusal
+        assert report.config.ids == config.ids
+        mapping = LanewidthScheme(key, seq).prove(config).mapping
+        assert mapping == report.labeling.mapping
+        assert report.scheme.prove(config).mapping == mapping
 
 
 class TestWarmCacheStageCounters:

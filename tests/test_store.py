@@ -111,6 +111,16 @@ class TestReverifyWithoutProving:
         # The stored path never touches a prover stage.
         assert session.stage_counters == {}
 
+    def test_stored_scheme_refuses_to_prove(self, tmp_path):
+        from repro.pls.scheme import ProverFailure
+
+        store = CertificateStore(tmp_path)
+        _report, graph = _certified(tmp_path, seed=64, store=store)
+        loaded = store.load(graph.fingerprint(), "connected")
+        # Verifier-only: a stored entry carries no prover.
+        with pytest.raises(ProverFailure):
+            loaded.scheme.prove(loaded.config)
+
     def test_store_reverify_helper(self, tmp_path):
         store = CertificateStore(tmp_path)
         report, graph = _certified(tmp_path, seed=62, store=store)

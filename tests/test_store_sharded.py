@@ -2,8 +2,7 @@
 
 The PR 6 store contract: entries live in fingerprint-prefix shards,
 writes are atomic under concurrent writers (unique temp + os.replace),
-flat pre-shard stores keep loading (dual-read + lazy migration), the
-store accounts for itself (stats/len/entries + StoreMetrics), and a
+the store accounts for itself (stats/len/entries + StoreMetrics), and a
 byte budget evicts least-recently-used entries.
 """
 
@@ -51,8 +50,6 @@ class TestShardedLayout:
         fingerprint = graph.fingerprint()
         assert path.parent == tmp_path / fingerprint[:SHARD_PREFIX_LEN]
         assert path == store.path_for(fingerprint, "connected")
-        # Nothing cert-shaped sits at the legacy flat location.
-        assert not store.flat_path_for(fingerprint, "connected").exists()
 
     def test_distinct_prefixes_get_distinct_shards(self, tmp_path):
         store = CertificateStore(tmp_path)
@@ -74,16 +71,12 @@ class TestShardedLayout:
         report_a, graph_a = _certified(seed=83)
         report_b, graph_b = _certified(seed=84)
         path_a = store.save(report_a)
-        store.save(report_b)
-        # Demote one entry to the legacy flat layout by hand.
-        flat_a = store.flat_path_for(graph_a.fingerprint(), "connected")
-        os.replace(path_a, flat_a)
+        path_b = store.save(report_b)
 
         assert len(store) == 2
         stats = store.stats()
         assert stats["entries"] == 2
-        assert stats["flat_entries"] == 1
-        assert stats["shards"] == 1
+        assert stats["shards"] == len({path_a.parent, path_b.parent})
         assert stats["bytes"] == sum(
             p.stat().st_size for _f, _k, p in store.entries()
         )
@@ -101,83 +94,6 @@ class TestShardedLayout:
         assert len(store) == 0
         assert store.entries() == []
         assert store.stats()["entries"] == 0
-
-
-class TestFlatMigration:
-    def test_load_migrates_flat_entry(self, tmp_path):
-        store = CertificateStore(tmp_path)
-        report, graph = _certified(seed=85, store=store)
-        fingerprint = graph.fingerprint()
-        sharded = store.path_for(fingerprint, "connected")
-        flat = store.flat_path_for(fingerprint, "connected")
-        os.replace(sharded, flat)
-
-        assert (fingerprint, "connected") in store  # dual-read membership
-        loaded = store.load(fingerprint, "connected")
-        assert loaded.accepted
-        # The act of serving moved the entry to its canonical shard.
-        assert sharded.exists()
-        assert not flat.exists()
-        assert store.metrics.snapshot()["migrated"] == 1
-        # Second load is a plain sharded hit, no further migration.
-        store.load(fingerprint, "connected")
-        assert store.metrics.snapshot()["migrated"] == 1
-
-    def test_migrate_flat_walks_everything(self, tmp_path):
-        store = CertificateStore(tmp_path)
-        graphs = []
-        for seed in (86, 87):
-            report, graph = _certified(seed=seed)
-            path = store.save(report)
-            os.replace(
-                path, store.flat_path_for(graph.fingerprint(), "connected")
-            )
-            graphs.append(graph)
-        # A non-envelope straggler must be left alone, not destroyed.
-        bogus = tmp_path / "notes.cert"
-        bogus.write_bytes(b"not an envelope")
-
-        assert store.migrate_flat() == 2
-        assert store.stats()["flat_entries"] == 1  # just the bogus file
-        assert bogus.exists()
-        for graph in graphs:
-            assert store.path_for(graph.fingerprint(), "connected").exists()
-        assert store.migrate_flat() == 0  # idempotent
-
-    def test_fresh_process_reads_flat_layout_store(self, tmp_path):
-        """A store written before the shard layout still serves a fresh
-        interpreter, which transparently settles the entry into its
-        shard — the ISSUE's compatibility acceptance criterion."""
-        store = CertificateStore(tmp_path)
-        report, graph = _certified(seed=88, store=store)
-        fingerprint = graph.fingerprint()
-        # Recreate the pre-shard world: entry directly under root.
-        os.replace(
-            store.path_for(fingerprint, "connected"),
-            store.flat_path_for(fingerprint, "connected"),
-        )
-        script = (
-            "import sys\n"
-            "from repro.api import CertificateStore, CertificationSession\n"
-            "store = CertificateStore(sys.argv[1])\n"
-            "report = store.load(sys.argv[2], 'connected')\n"
-            "session = CertificationSession()\n"
-            "verification = session.verify(report)\n"
-            "assert verification.accepted, verification.summary()\n"
-            "assert session.stage_counters == {}, session.stage_counters\n"
-            "assert store.metrics.snapshot()['migrated'] == 1\n"
-            "print('MIGRATED-AND-REVERIFIED')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path), fingerprint],
-            capture_output=True,
-            text=True,
-            env=_subprocess_env(),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "MIGRATED-AND-REVERIFIED" in proc.stdout
-        assert store.path_for(fingerprint, "connected").exists()
 
 
 class TestAtomicSave:
