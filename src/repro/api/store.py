@@ -64,9 +64,11 @@ from repro.codec import (
     EncodedLabel,
     EncodedLabeling,
     decode_labeling_columnar,
-    encode_labeling_columnar,
     stamp_wire_digest,
 )
+# Bound under this module-level name because it is the name the
+# benchmark tracer wraps for the codec.encode span.
+from repro.codec import encode_labeling as encode_labeling_columnar
 from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration

@@ -10,7 +10,12 @@ them.  This package materializes every
   :class:`WireHeader` per labeling plus per-edge encodings, with
   ``decode(encode(label)) == label`` guaranteed by tier-1 property
   tests and the measured bit counts feeding
-  :class:`~repro.api.results.CertificationReport`.
+  :class:`~repro.api.results.CertificationReport`.  Its
+  :func:`~repro.codec.wire.encode_labeling` is the one encoder;
+* :mod:`repro.codec.columnar` — :func:`decode_labeling_columnar`, the
+  bulk decoder the store reads with: one pass over a whole labeling
+  that decodes each distinct sub-structure once, ``==`` to the
+  per-label reference decode.
 
 The byte-level layout is specified in ``docs/FORMAT.md``; persistence of
 encoded labelings lives in :class:`repro.api.store.CertificateStore`.
@@ -36,11 +41,7 @@ from repro.codec.wire import (
     labeling_digest,
     stamp_wire_digest,
 )
-from repro.codec.columnar import (
-    ColumnarEncoder,
-    decode_labeling_columnar,
-    encode_labeling_columnar,
-)
+from repro.codec.columnar import decode_labeling_columnar
 
 __all__ = [
     "BitReader",
@@ -59,7 +60,5 @@ __all__ = [
     "decode_labeling",
     "labeling_digest",
     "stamp_wire_digest",
-    "ColumnarEncoder",
     "decode_labeling_columnar",
-    "encode_labeling_columnar",
 ]

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from repro.core.certificates import (
@@ -91,7 +92,8 @@ class CodecError(ValueError):
 # Keying on ``id()`` is sound here because every memo value keeps a
 # strong reference to its key object (no id reuse while the memo
 # lives), the object graph is immutable during the pass, and the memo
-# never outlives the pass.  Output is bit-identical to the direct path.
+# never outlives the pass.  Every encode runs through one memo: callers
+# that pass none get a fresh one.
 # ----------------------------------------------------------------------
 class _EncodeMemo:
     """Per-pass caches shared by the collector and the encoder."""
@@ -143,7 +145,7 @@ class _FieldRun:
 class _Collector:
     """Accumulates the header dictionaries from a deterministic walk."""
 
-    def __init__(self, memo: "Optional[_EncodeMemo]" = None):
+    def __init__(self, memo: _EncodeMemo):
         self._memo = memo
         self.ids = set()
         self.states = []  # first-seen order
@@ -170,12 +172,11 @@ class _Collector:
             self.tags.append(tag)
 
     def info(self, info: BasicInfo) -> None:
-        if self._memo is not None:
-            # A revisit contributes the same maxima and dictionary
-            # entries again — skipping it is a pure no-op.
-            if id(info) in self._memo.seen:
-                return
-            self._memo.seen[id(info)] = info
+        # A revisit contributes the same maxima and dictionary entries
+        # again — skipping it is a pure no-op.
+        if id(info) in self._memo.seen:
+            return
+        self._memo.seen[id(info)] = info
         if info.kind not in _KIND_CODES:
             raise CodecError(f"unknown node kind {info.kind!r}")
         if info.node_id < -1:
@@ -200,10 +201,7 @@ class _Collector:
         # boundary (unpickled from the on-disk artifact cache) must
         # dedupe into the same dictionary slot as their locally built
         # equals.
-        if self._memo is not None:
-            key = self._memo.canonical(info.state)
-        else:
-            key = canonical_state_repr(info.state)
+        key = self._memo.canonical(info.state)
         if key not in self._state_index:
             self._state_index[key] = len(self.states)
             self.states.append(info.state)
@@ -214,10 +212,9 @@ class _Collector:
         self.counter(pointer.dist_b)
 
     def record(self, record) -> None:
-        if self._memo is not None:
-            if id(record) in self._memo.seen:
-                return
-            self._memo.seen[id(record)] = record
+        if id(record) in self._memo.seen:
+            return
+        self._memo.seen[id(record)] = record
         self.info(record.info)
         if isinstance(record, TLevelRecord):
             if record.info.kind != "T":
@@ -264,10 +261,9 @@ class _Collector:
             )
 
     def certificate(self, cert: EdgeCertificate) -> None:
-        if self._memo is not None:
-            if id(cert) in self._memo.seen:
-                return
-            self._memo.seen[id(cert)] = cert
+        if id(cert) in self._memo.seen:
+            return
+        self._memo.seen[id(cert)] = cert
         if not cert.stack:
             raise CodecError("empty certificate stack")
         self.max_depth = max(self.max_depth, len(cert.stack))
@@ -342,13 +338,18 @@ class WireHeader:
         labeling: Labeling,
         memo: "Optional[_EncodeMemo]" = None,
     ) -> "WireHeader":
-        """Build the header for one labeling's label set."""
+        """Build the header for one labeling's label set.
+
+        ``memo`` lets :func:`encode_labeling` share one pass's caches
+        between the header walk and the label encodes; a fresh one is
+        used when it is omitted.
+        """
         if labeling.location != "edges":
             raise CodecError(
                 "the wire format carries edge labelings "
                 f"(got location={labeling.location!r})"
             )
-        collector = _Collector(memo)
+        collector = _Collector(memo if memo is not None else _EncodeMemo())
         for key in sorted(labeling.mapping, key=repr):
             collector.label(labeling.mapping[key])
         ctx = labeling.size_context
@@ -382,22 +383,25 @@ class WireHeader:
             )
 
     # -- derived widths and lookups ------------------------------------
-    @property
+    # The encoder reads these widths once per field, so each is computed
+    # on first use and kept in the instance dict: like the lookup tables
+    # above, they stay out of equality, repr and labeling_digest.
+    @cached_property
     def id_index_bits(self) -> int:
         """Width of one identifier-dictionary index field."""
         return width_for(len(self.id_table))
 
-    @property
+    @cached_property
     def class_bits(self) -> int:
         """Width of one homomorphism-class index field."""
         return width_for(len(self.states))
 
-    @property
+    @cached_property
     def tag_bits(self) -> int:
         """Width of one edge-tag index field."""
         return width_for(len(self.tags))
 
-    @property
+    @cached_property
     def lane_index_bits(self) -> int:
         """Width of one bridge-lane number field."""
         return width_for(self.lane_bits)
@@ -450,30 +454,29 @@ class WireHeader:
 # ----------------------------------------------------------------------
 # Encoding.
 # ----------------------------------------------------------------------
-def _memoized(memo, obj, w, encode_direct) -> None:
-    """Replay ``obj``'s combined bit run, computing it on first sight."""
+def _memoized(w, obj, h: WireHeader, memo: _EncodeMemo, fields) -> None:
+    """Replay ``obj``'s combined bit run, computing it on first sight.
+
+    ``fields(run, obj, h, memo)`` writes the object's fields in wire
+    order; it runs once per distinct object of the pass.
+    """
     hit = memo.runs.get(id(obj))
     if hit is None:
         run = _FieldRun()
-        encode_direct(run)
+        fields(run, obj, h, memo)
         hit = (obj, run.value, run.width)
         memo.runs[id(obj)] = hit
     w.write(hit[1], hit[2])
 
 
 def _encode_info(
-    w, info: BasicInfo, h: WireHeader, memo: Optional[_EncodeMemo] = None
+    w, info: BasicInfo, h: WireHeader, memo: _EncodeMemo
 ) -> None:
-    if memo is not None:
-        _memoized(
-            memo, info, w, lambda run: _encode_info_direct(run, info, h, memo)
-        )
-        return
-    _encode_info_direct(w, info, h, None)
+    _memoized(w, info, h, memo, _info_fields)
 
 
-def _encode_info_direct(
-    w, info: BasicInfo, h: WireHeader, memo: Optional[_EncodeMemo]
+def _info_fields(
+    w, info: BasicInfo, h: WireHeader, memo: _EncodeMemo
 ) -> None:
     w.write(_KIND_CODES[info.kind], _KIND_BITS)
     w.write(info.node_id + 1, h.node_width)
@@ -487,7 +490,7 @@ def _encode_info_direct(
     w.write(h.state_code(info.state, memo), h.class_bits)
 
 
-def _encode_pointer(w: BitWriter, p: PointerLabel, h: WireHeader) -> None:
+def _encode_pointer(w, p: PointerLabel, h: WireHeader) -> None:
     w.write(h.id_code(p.target_id), h.id_index_bits)
     w.write(h.id_code(p.id_a), h.id_index_bits)
     w.write(p.dist_a, h.counter_width)
@@ -495,23 +498,11 @@ def _encode_pointer(w: BitWriter, p: PointerLabel, h: WireHeader) -> None:
     w.write(p.dist_b, h.counter_width)
 
 
-def _encode_record(
-    w, record, h: WireHeader, memo: Optional[_EncodeMemo] = None
-) -> None:
-    if memo is not None:
-        _memoized(
-            memo,
-            record,
-            w,
-            lambda run: _encode_record_direct(run, record, h, memo),
-        )
-        return
-    _encode_record_direct(w, record, h, None)
+def _encode_record(w, record, h: WireHeader, memo: _EncodeMemo) -> None:
+    _memoized(w, record, h, memo, _record_fields)
 
 
-def _encode_record_direct(
-    w, record, h: WireHeader, memo: Optional[_EncodeMemo]
-) -> None:
+def _record_fields(w, record, h: WireHeader, memo: _EncodeMemo) -> None:
     _encode_info(w, record.info, h, memo)
     if isinstance(record, TLevelRecord):
         _encode_info(w, record.member_info, h, memo)
@@ -546,25 +537,14 @@ def _encode_record_direct(
 
 
 def _encode_certificate(
-    w,
-    cert: EdgeCertificate,
-    h: WireHeader,
-    memo: Optional[_EncodeMemo] = None,
-):
-    if memo is not None:
-        _memoized(
-            memo,
-            cert,
-            w,
-            lambda run: _encode_certificate_direct(run, cert, h, memo),
-        )
-        return
-    _encode_certificate_direct(w, cert, h, None)
+    w, cert: EdgeCertificate, h: WireHeader, memo: _EncodeMemo
+) -> None:
+    _memoized(w, cert, h, memo, _certificate_fields)
 
 
-def _encode_certificate_direct(
-    w, cert: EdgeCertificate, h: WireHeader, memo: Optional[_EncodeMemo]
-):
+def _certificate_fields(
+    w, cert: EdgeCertificate, h: WireHeader, memo: _EncodeMemo
+) -> None:
     w.write(len(cert.stack), h.depth_width)
     for record in cert.stack:
         _encode_record(w, record, h, memo)
@@ -583,11 +563,18 @@ def encode_label(
     header: WireHeader,
     memo: Optional[_EncodeMemo] = None,
 ) -> EncodedLabel:
-    """Encode one physical label against ``header``."""
+    """Encode one physical label against ``header``.
+
+    ``memo`` carries one pass's caches across the labels of a labeling
+    (:func:`encode_labeling` passes one); a fresh one is used when it
+    is omitted.
+    """
     if not isinstance(label, Theorem1Label):
         raise CodecError(
             f"expected a Theorem1Label, got {type(label).__name__}"
         )
+    if memo is None:
+        memo = _EncodeMemo()
     w = BitWriter()
     _encode_certificate(w, label.certificate, header, memo)
     w.write(len(label.embedded), header.embed_width)

@@ -516,10 +516,10 @@ class TestCompiledRoundPersistence:
     def _stamped_case(seed: int, extra: int = 24):
         """A `_case` whose labeling carries its wire digest (the
         compiled-round cache key requires one)."""
-        from repro.codec import encode_labeling_columnar, stamp_wire_digest
+        from repro.codec import stamp_wire_digest
 
         config, scheme, labeling = _case(seed, extra=extra)
-        stamp_wire_digest(labeling, encode_labeling_columnar(labeling))
+        stamp_wire_digest(labeling, encode_labeling(labeling))
         return config, scheme, labeling
 
     def test_restarted_executor_attaches_compiled_round(self, tmp_path):
@@ -648,8 +648,7 @@ class TestCompiledRoundPersistence:
             "import json, random, sys\n"
             "from repro.api import (ArtifactCache, VectorizedExecutor,\n"
             "                       VerificationEngine)\n"
-            "from repro.codec import (encode_labeling_columnar,\n"
-            "                         stamp_wire_digest)\n"
+            "from repro.codec import encode_labeling, stamp_wire_digest\n"
             "from repro.core import (certify_lanewidth_graph,\n"
             "                        random_lanewidth_sequence)\n"
             "rng = random.Random(7)\n"
@@ -657,7 +656,7 @@ class TestCompiledRoundPersistence:
             "    3, 16, rng, edge_probability=0.15)\n"
             "config, scheme, labeling, _res = certify_lanewidth_graph(\n"
             "    sequence, 'connected', rng)\n"
-            "stamp_wire_digest(labeling, encode_labeling_columnar(labeling))\n"
+            "stamp_wire_digest(labeling, encode_labeling(labeling))\n"
             "report = VerificationEngine(VectorizedExecutor(\n"
             "    artifacts=ArtifactCache(root=sys.argv[1]))).verify(\n"
             "    config, scheme, labeling)\n"
