@@ -25,6 +25,17 @@ reports measure.  Entries record the graph fingerprint they were proven
 against and :meth:`load` recomputes it, so a corrupted or swapped graph
 is rejected instead of silently verified.
 
+What :meth:`load` checks eagerly: the manifest (magic, version, fields,
+property key, fingerprint), the stored graph's fingerprint, and each
+label's framing (its ``bit_length`` fits its bytes).  It also stamps the
+labeling's wire digest over the raw bytes.  The certificate fields are
+decoded on first read of ``report.labeling.mapping``, so a round that
+attaches a persisted compiled round by that digest decodes nothing.  A
+field-level decode error surfaces at that first read, as the same
+:class:`StoreError` ("corrupted certificate payload in ...").  Bytes
+that fail to decode can never attach: the digest covers every label
+byte and bit length, so no compiled round was ever stored under them.
+
 Layout (v2, service-grade)
 --------------------------
 Entries live in **fingerprint-prefix shards**: ``<root>/<fp[:2]>/<fp
@@ -55,6 +66,7 @@ import pickle
 import re
 import threading
 import time
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Optional
 
@@ -72,6 +84,7 @@ from repro.codec import encode_labeling as encode_labeling_columnar
 from repro.core.scheme import CertifyingScheme
 from repro.courcelle.registry import resolve_algebra
 from repro.pls.model import Configuration
+from repro.pls.scheme import Labeling
 
 #: File magic + envelope version; bumped when the manifest layout changes
 #: (the label payload format is versioned separately by WIRE_VERSION).
@@ -143,6 +156,53 @@ class StoreMetrics:
     def __repr__(self) -> str:
         pairs = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
         return f"StoreMetrics({pairs})"
+
+
+class _DecodeOnRead(Mapping):
+    """``labeling.mapping`` of a loaded entry: decodes on first read.
+
+    A read-only mapping over the entry's :class:`EncodedLabeling`.
+    Keys and ``len`` come from the wire form; the first item access
+    runs the bulk decoder once and serves every later read from its
+    result.  A round that attaches a persisted compiled round
+    reads no certificate, so it never pays for the decode.  A
+    :class:`CodecError` surfaces as the same :class:`StoreError` an
+    eager load raised.
+    """
+
+    __slots__ = ("_encoded", "_path", "_decoded")
+
+    def __init__(self, encoded: EncodedLabeling, path: Path):
+        self._encoded = encoded
+        self._path = path
+        self._decoded = None
+
+    def _labels(self) -> dict:
+        decoded = self._decoded
+        if decoded is None:
+            try:
+                # Bulk decode: equal to encoded.decode(), with shared
+                # sub-structure interned across edges.
+                decoded = decode_labeling_columnar(self._encoded).mapping
+            except CodecError as exc:
+                raise StoreError(
+                    f"corrupted certificate payload in {self._path}: {exc}"
+                ) from exc
+            self._decoded = decoded
+        return decoded
+
+    def __getitem__(self, key):
+        return self._labels()[key]
+
+    def get(self, key, default=None):
+        # The verifier resolves its certificate column through get.
+        return self._labels().get(key, default)
+
+    def __iter__(self):
+        return iter(self._encoded.labels)
+
+    def __len__(self) -> int:
+        return len(self._encoded.labels)
 
 
 def _slug(text: str) -> str:
@@ -508,21 +568,29 @@ class CertificateStore:
         """Rehydrate one entry as a ready-to-verify report.
 
         Returns a :class:`~repro.api.results.CertificationReport` whose
-        artifacts (``config``, verifier-half ``scheme``, decoded
-        ``labeling``, and the wire-form ``encoded``) are reconstructed
-        from disk: ``session.verify(report)`` or a bare
+        artifacts (``config``, verifier-half ``scheme``, ``labeling``,
+        and the wire-form ``encoded``) are reconstructed from disk:
+        ``session.verify(report)`` or a bare
         :class:`~repro.api.runtime.VerificationEngine` can run the round
         immediately, with zero prover stages.  The stored graph is
         re-fingerprinted on load and must match both the requested and
         the recorded fingerprint.
 
-        ``decode=False`` skips decoding the per-edge certificates —
-        ``report.labeling`` stays ``None`` while ``report.encoded`` and
-        the report metadata are fully populated.  Decoding dominates
-        rehydration cost, so this is the fast path for callers that
-        serve the certificate without replaying the round (the service
-        layer's ``verify: false`` certify requests); completeness makes
-        that safe, and ``reverify`` replays the round on demand.
+        Validated here: the manifest, the graph fingerprint, and each
+        label's framing (``bit_length`` within its bytes); the wire
+        digest is stamped on the labeling.  The labeling's mapping
+        decodes the certificates on first read, once; a field-level
+        decode error raises :class:`StoreError` ("corrupted certificate
+        payload") at that read — inside the verification round — not
+        here.
+
+        ``decode=False`` returns ``report.labeling = None`` and skips
+        the framing check and the digest, while ``report.encoded`` and
+        the report metadata are fully populated: the path for callers
+        that serve the certificate without replaying the round (the
+        service layer's ``verify: false`` certify requests);
+        completeness makes that safe, and ``reverify`` replays the
+        round on demand.
 
         Serving an entry bumps its mtime, which is the recency signal
         :meth:`compact` evicts against.
@@ -576,17 +644,23 @@ class CertificateStore:
         )
         labeling = None
         if decode:
-            try:
-                # Columnar bulk decode: equal to encoded.decode() but
-                # shares sub-structure across edges, so downstream
-                # rounds (and kernel compiles) see interned objects.
-                labeling = decode_labeling_columnar(encoded)
-            except CodecError as exc:
-                raise StoreError(
-                    f"corrupted certificate payload in {path}: {exc}"
-                ) from exc
-            # Re-stamp the wire identity so a reverify round can attach
-            # a persisted compiled round with zero compile work.
+            # Framing is O(1) a label and checked here; the fields are
+            # decoded on first read (see _DecodeOnRead).
+            for label in encoded.labels.values():
+                bits = label.bit_length
+                if bits is not None and bits > 8 * len(label.data):
+                    raise StoreError(
+                        f"corrupted certificate payload in {path}: "
+                        "malformed label encoding: bit_length exceeds "
+                        "the supplied data"
+                    )
+            labeling = Labeling(
+                location=encoded.location,
+                mapping=_DecodeOnRead(encoded, path),
+                size_context=encoded.header.size_context(),
+            )
+            # Stamp the wire identity so a reverify round can attach a
+            # persisted compiled round without decoding or compiling.
             stamp_wire_digest(labeling, encoded)
         algebra = manifest["algebra"]
         if algebra is None and manifest["algebra_key"] is not None:

@@ -41,6 +41,7 @@ try:  # pragma: no cover - numpy is present in CI
 except Exception:  # pragma: no cover
     np = None
 
+from repro.api.plan import config_fingerprint
 from repro.api.runtime import (
     VerificationExecutor,
     _ChunkOutcome,
@@ -1577,28 +1578,28 @@ def _same_key(held, key) -> bool:
     )
 
 
-def _arrays_cache_key(config) -> str:
+def _arrays_cache_key(fingerprint: str) -> str:
     """Content key of a configuration's packed :class:`RoundArrays`.
 
     The packed columns depend only on the graph's CSR and the identifier
-    assignment — exactly what ``config_fingerprint`` hashes — so the
-    artifact survives process restarts, unlike the identity-based
-    ``_round_key`` that guards the held round.
+    assignment — exactly what ``config_fingerprint`` hashes, and
+    ``fingerprint`` is that hash — so the artifact survives process
+    restarts, unlike the identity-based ``_round_key`` that guards the
+    held round.
     """
-    from repro.api.plan import config_fingerprint
-
-    return f"round-arrays:{config_fingerprint(config)}"
+    return f"round-arrays:{fingerprint}"
 
 
-def _cached_round_arrays(cache, config):
+def _cached_round_arrays(cache, config, fingerprint):
     """Look up a persisted pack for ``config``; return ``(arrays, key)``.
 
-    ``arrays`` is ``None`` on any miss, unpickling failure, or shape
-    mismatch — the cache is an optimization, never a correctness
-    dependency — while ``key`` is always the content key so the caller
-    can store a freshly built pack under it.
+    ``fingerprint`` is ``config_fingerprint(config)``.  ``arrays`` is
+    ``None`` on any miss, unpickling failure, or shape mismatch — the
+    cache is an optimization, never a correctness dependency — while
+    ``key`` is always the content key so the caller can store a freshly
+    built pack under it.
     """
-    key = _arrays_cache_key(config)
+    key = _arrays_cache_key(fingerprint)
     if cache is None:
         return None, key
     entry = cache.get(key)
@@ -1626,10 +1627,11 @@ def _store_round_arrays(cache, key, arrays, seconds) -> None:
     cache.put(key, "round-arrays", {"pack": pack}, seconds)
 
 
-def _compiled_round_cache_key(config, scheme, digest):
+def _compiled_round_cache_key(fingerprint, scheme, digest):
     """Content key of a persisted compiled round, or ``None``.
 
-    The compiled tables depend on the graph (``config_fingerprint``),
+    The compiled tables depend on the graph (``fingerprint``, the
+    ``config_fingerprint`` of the round's configuration),
     the exact labeling (its wire digest), the verifier profile, and the
     envelope/wire format versions — any of these changing must produce
     a different key, so stale envelopes are simply never looked up.
@@ -1641,11 +1643,9 @@ def _compiled_round_cache_key(config, scheme, digest):
     algebra_key = getattr(getattr(scheme, "algebra", None), "key", None)
     if algebra_key is None:
         return None
-    from repro.api.plan import config_fingerprint
-
     raw = repr(
         (
-            config_fingerprint(config),
+            fingerprint,
             digest,
             algebra_key,
             scheme.max_width,
@@ -1776,7 +1776,11 @@ class VectorizedExecutor(VerificationExecutor):
         if _same_key(self._held_key, key):
             return self._held_round, None
         began = perf_counter()
-        arrays, cache_key = _cached_round_arrays(self.artifacts, config)
+        # One content hash serves both cache keys.
+        fingerprint = config_fingerprint(config)
+        arrays, cache_key = _cached_round_arrays(
+            self.artifacts, config, fingerprint
+        )
         arrays_cached = arrays is not None
         if arrays is None:
             try:
@@ -1788,7 +1792,7 @@ class VectorizedExecutor(VerificationExecutor):
             )
         algebra, max_width = profile
         compiled_key = _compiled_round_cache_key(
-            config, scheme, self._digest_for(mapping)
+            fingerprint, scheme, self._digest_for(mapping)
         )
         round_ = _attach_compiled_round(
             self.artifacts, compiled_key, arrays, algebra, max_width

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from dataclasses import fields as dataclass_fields
 from functools import cached_property
 from typing import Optional
 
@@ -381,6 +382,15 @@ class WireHeader:
                 f"unsupported wire format version {self.version} "
                 f"(this build speaks v{WIRE_VERSION})"
             )
+
+    def __getstate__(self):
+        # Pickle the canonical fields only: the lookup tables and the
+        # cached widths are derived, and rebuilt on first use.
+        state = {
+            f.name: getattr(self, f.name) for f in dataclass_fields(self)
+        }
+        state.update(_id_index=None, _state_index=None, _tag_index=None)
+        return state
 
     # -- derived widths and lookups ------------------------------------
     # The encoder reads these widths once per field, so each is computed

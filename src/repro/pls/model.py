@@ -151,7 +151,10 @@ class ViewFactory:
     resolved into arrays parallel to the graph's CSR vertex order, edge
     input labels and edge certificates resolved by stable edge index —
     and then each view is a pair of array slices with zero per-vertex
-    dictionary traffic.
+    dictionary traffic.  The certificate column is resolved on the first
+    :attr:`edge_certificates` or :meth:`view_at` call, not on
+    construction, so a round that never reads a certificate never reads
+    the mapping (a store-loaded mapping decodes on first read).
 
     The factory deliberately still emits the same :class:`LocalView`
     type: the verifier's locality boundary (one vertex sees its ports and
@@ -178,8 +181,8 @@ class ViewFactory:
         "_identifiers",
         "_vertex_inputs",
         "_edge_inputs",
-        "_vertex_certs",
-        "_edge_certs",
+        "_mapping",
+        "_certs",
     )
 
     def __init__(self, config: Configuration, mapping: dict, location: str):
@@ -197,12 +200,25 @@ class ViewFactory:
         self._vertex_inputs = [vertex_labels.get(v) for v in csr.vertices]
         edge_labels = graph.edge_labels()
         self._edge_inputs = [edge_labels.get(e) for e in csr.edges]
-        if location == "vertices":
-            self._vertex_certs = [mapping.get(v) for v in csr.vertices]
-            self._edge_certs = None
-        else:
-            self._vertex_certs = None
-            self._edge_certs = [mapping.get(e) for e in csr.edges]
+        self._mapping = mapping
+        self._certs = None
+
+    def _certificates(self) -> list:
+        """The certificate column, resolved from the mapping on first use.
+
+        Lazy so that a round whose kernels never read a certificate
+        (an attached compiled round) never reads the mapping either.
+        """
+        certs = self._certs
+        if certs is None:
+            get = self._mapping.get
+            keys = (
+                self._csr.vertices
+                if self.location == "vertices"
+                else self._csr.edges
+            )
+            certs = self._certs = [get(key) for key in keys]
+        return certs
 
     @property
     def vertices(self) -> tuple:
@@ -230,7 +246,9 @@ class ViewFactory:
         Aligned with ``csr.edges``: entry ``k`` is the certificate on the
         canonical edge with stable index ``k`` (``None`` if unlabeled).
         """
-        return self._edge_certs
+        if self.location != "edges":
+            return None
+        return self._certificates()
 
     def round_arrays(self):
         """Numpy :class:`repro.pls.arrays.RoundArrays` mirror of this round.
@@ -249,8 +267,8 @@ class ViewFactory:
         neighbors = csr.neighbors
         incident = csr.incident
         edge_inputs = self._edge_inputs
+        certs = self._certificates()
         if self.location == "vertices":
-            certs = self._vertex_certs
             ports = tuple(
                 EdgePort(
                     input_label=edge_inputs[incident[p]],
@@ -269,7 +287,6 @@ class ViewFactory:
                 ),
                 ports=ports,
             )
-        certs = self._edge_certs
         ports = tuple(
             EdgePort(
                 input_label=edge_inputs[incident[p]],

@@ -289,10 +289,9 @@ class CertificationService:
                             )
                         )
                     else:
-                        # Serving without the round: skip decoding the
-                        # per-edge certificates too — the report JSON
-                        # rides in the envelope, and decode dominates
-                        # rehydration cost.
+                        # Serving without the round: build no labeling
+                        # (no framing check, no wire digest) — the
+                        # report JSON rides in the envelope.
                         report = self.store.load(
                             fingerprint, prop, decode=False
                         )
@@ -301,7 +300,10 @@ class CertificationService:
                     self.metrics.store_served(True)
                     continue
                 except StoreError:
-                    pass  # corrupt or raced-away entry: re-prove it
+                    # Corrupt or raced-away entry: re-prove it.  Label
+                    # bytes that frame but do not decode raise here
+                    # too, from inside the reverify round.
+                    pass
             missing.append(prop)
         if missing:
             self.metrics.prover_run()

@@ -177,6 +177,31 @@ class TestLabelRoundTrip:
             labeling.mapping[key]
         )
 
+    def test_pickle_carries_no_derived_tables(self):
+        labeling = _lanewidth_labeling(3, 40, seed=17).labeling
+        encoded = encode_labeling(labeling)
+        header = encoded.header
+        # The encode filled the lookup tables and the cached widths.
+        assert header._id_index is not None
+        assert "id_index_bits" in header.__dict__
+        payload = pickle.dumps(header, protocol=4)
+        assert len(payload) < len(pickle.dumps(header.__dict__, protocol=4))
+        revived = pickle.loads(payload)
+        assert revived == header
+        assert revived._id_index is None
+        assert revived._state_index is None
+        assert revived._tag_index is None
+        for name in ("id_index_bits", "class_bits", "tag_bits",
+                     "lane_index_bits"):
+            assert name not in revived.__dict__
+            assert getattr(revived, name) == getattr(header, name)
+        # Re-encoding against the revived header rebuilds the lookups
+        # and reproduces the golden bytes.
+        again = encode_labeling(labeling, revived)
+        assert labeling_digest(again) == labeling_digest(encoded) == (
+            "f5ab389bd5c5e29cefe8b50aae9ed601"
+        )
+
     def test_size_context_round_trip(self):
         report = _lanewidth_labeling(2, 16, seed=9)
         header = WireHeader.for_labeling(report.labeling)

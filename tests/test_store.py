@@ -23,7 +23,9 @@ from repro.api import (
     certify,
 )
 from repro.api.store import STORE_MAGIC
+from repro.codec import CodecError, decode_label
 from repro.experiments import lanewidth_workload
+from repro.pls.model import Configuration
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -263,3 +265,173 @@ class TestIntegrity:
         assert served.accepted == report.accepted
         assert served.encoded.labels[key].data == data[:-1]
         assert served.encoded.header == report.encoded.header
+
+
+def _count_decodes(monkeypatch):
+    """Count calls of the store's bulk decoder (the name load binds)."""
+    import repro.api.store as store_module
+
+    calls = []
+    original = store_module.decode_labeling_columnar
+
+    def counting(encoded):
+        calls.append(encoded)
+        return original(encoded)
+
+    monkeypatch.setattr(store_module, "decode_labeling_columnar", counting)
+    return calls
+
+
+def _vectorized(store):
+    from repro.api import VectorizedExecutor
+
+    return VerificationEngine(
+        VectorizedExecutor(artifacts=store.artifact_cache())
+    )
+
+
+def _bridge_cut(graph):
+    for u, v in sorted(graph.edges(), key=repr):
+        cut = graph.copy()
+        cut.remove_edge(u, v)
+        if not cut.is_connected():
+            return cut
+    raise AssertionError("host has no bridge")
+
+
+def _flip_undecodable_bit(manifest):
+    """Flip one bit inside a label body so that the framing still holds
+    but the fields no longer decode; return the label's key."""
+    header = manifest["header"]
+    for key in sorted(manifest["labels"], key=repr):
+        data, bits = manifest["labels"][key]
+        for i in range(bits):
+            flipped = bytearray(data)
+            flipped[i // 8] ^= 0x80 >> (i % 8)
+            try:
+                decode_label(bytes(flipped), header, bits)
+            except CodecError:
+                manifest["labels"][key] = (bytes(flipped), bits)
+                return key
+    raise AssertionError("no single bit flip breaks decoding")
+
+
+def _corrupt_one_label(path):
+    manifest = pickle.loads(path.read_bytes()[len(STORE_MAGIC):])
+    _flip_undecodable_bit(manifest)
+    path.write_bytes(STORE_MAGIC + pickle.dumps(manifest, protocol=4))
+
+
+class TestDecodeOnRead:
+    """A loaded labeling decodes on first read of its mapping, so a
+    round that attaches a persisted compiled round decodes nothing."""
+
+    def test_load_does_not_decode(self, tmp_path, monkeypatch):
+        store = CertificateStore(tmp_path)
+        report, graph = _certified(tmp_path, seed=71, store=store)
+        calls = _count_decodes(monkeypatch)
+        loaded = store.load(graph.fingerprint(), "connected")
+        assert calls == []
+        assert len(loaded.labeling.mapping) == len(report.labeling.mapping)
+        assert set(loaded.labeling.mapping) == set(report.labeling.mapping)
+        assert calls == []  # keys and len come from the wire form
+        assert loaded.labeling.mapping == report.labeling.mapping
+        assert dict(loaded.labeling.mapping) == report.labeling.mapping
+        assert len(calls) == 1  # decoded once, then served from memory
+
+    def test_attached_round_decodes_nothing(self, tmp_path, monkeypatch):
+        store = CertificateStore(tmp_path)
+        _report, graph = _certified(tmp_path, seed=72, n=24, store=store)
+        fingerprint = graph.fingerprint()
+        # The first vectorized round compiles and persists its tables.
+        first = store.reverify(fingerprint, "connected", _vectorized(store))
+        assert first.accepted
+        assert not first.verification.kernel_stats["compiled_round_cached"]
+        calls = _count_decodes(monkeypatch)
+        # A fresh engine over the same store models a restarted server.
+        engine = _vectorized(store)
+        out = store.reverify(fingerprint, "connected", engine)
+        assert out.accepted
+        stats = out.verification.kernel_stats
+        assert stats["mode"] == "kernel"
+        assert stats["compiled_round_cached"] is True
+        # Audit mode re-checks every kernel accept on the reference
+        # path, which reads (and so decodes) the certificates.
+        assert len(calls) == (1 if engine.executor.audit else 0)
+
+    def test_bridge_cut_decodes_once(self, tmp_path, monkeypatch):
+        store = CertificateStore(tmp_path)
+        _report, graph = _certified(tmp_path, seed=72, n=24, store=store)
+        fingerprint = graph.fingerprint()
+        store.reverify(fingerprint, "connected", _vectorized(store))
+        loaded = store.load(fingerprint, "connected")
+        cut = Configuration(_bridge_cut(graph), loaded.config.ids)
+        calls = _count_decodes(monkeypatch)
+        vectorized = _vectorized(store).verify(
+            cut, loaded.scheme, loaded.labeling
+        )
+        assert len(calls) == 1
+        assert not vectorized.accepted
+        serial = VerificationEngine().verify(
+            cut, loaded.scheme, loaded.encoded.decode()
+        )
+        assert not serial.accepted
+        assert vectorized.verdicts == serial.verdicts
+
+    def test_undecodable_label_raises_in_the_round(self, tmp_path):
+        store = CertificateStore(tmp_path)
+        _report, graph = _certified(tmp_path, seed=73, n=24, store=store)
+        fingerprint = graph.fingerprint()
+        # Persist a compiled round for the honest bytes first: the
+        # flipped bytes have another digest, so it can never attach.
+        store.reverify(fingerprint, "connected", _vectorized(store))
+        _corrupt_one_label(store.path_for(fingerprint, "connected"))
+        loaded = store.load(fingerprint, "connected")  # framing holds
+        assert loaded.labeling is not None
+        for engine in (VerificationEngine(), _vectorized(store)):
+            with pytest.raises(
+                StoreError, match="corrupted certificate payload"
+            ):
+                store.reverify(fingerprint, "connected", engine)
+
+    def test_service_reproves_undecodable_entry(self, tmp_path):
+        import asyncio
+
+        from repro.service import CertificationService, ServiceConfig
+        from repro.service.protocol import graph_to_wire
+
+        _sequence, graph = lanewidth_workload(2, 14, 41)
+        service = CertificationService(
+            ServiceConfig(store_root=tmp_path, worker_threads=1)
+        )
+        path = service.store.path_for(graph.fingerprint(), "connected")
+
+        def request(request_id):
+            return {
+                "id": request_id,
+                "op": "certify",
+                "graph": graph_to_wire(graph),
+                "properties": ["connected"],
+                "verify": True,
+            }
+
+        async def scenario():
+            cold = await service.handle(request(1))
+            _corrupt_one_label(path)
+            healed = await service.handle(request(2))
+            warm = await service.handle(request(3))
+            return cold, healed, warm
+
+        try:
+            cold, healed, warm = asyncio.run(scenario())
+        finally:
+            service.close_blocking()
+        for response in (cold, healed, warm):
+            assert response["ok"], response
+            report = response["result"]["reports"]["connected"]
+            assert report["accepted"] is True
+        assert cold["result"]["served"] == {"connected": "prover"}
+        # The entry loads (framing holds) but its round raises
+        # StoreError, so the service re-proves and overwrites it.
+        assert healed["result"]["served"] == {"connected": "prover"}
+        assert warm["result"]["served"] == {"connected": "store"}

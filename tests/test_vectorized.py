@@ -464,12 +464,13 @@ class TestRoundArraysPersistence:
         assert second.accepted == first.accepted
 
     def test_corrupt_pack_is_rebuilt_not_fatal(self, tmp_path):
+        from repro.api.plan import config_fingerprint
         from repro.api.vectorized import _arrays_cache_key
 
         config, scheme, labeling = _case(4)
         cache = ArtifactCache(root=tmp_path)
         cache.put(
-            _arrays_cache_key(config),
+            _arrays_cache_key(config_fingerprint(config)),
             "round-arrays",
             {"pack": [1, 2, 3]},
             0.0,
